@@ -164,6 +164,7 @@ def default_config() -> LintConfig:
         "TRC002": RulePolicy(
             default=Severity.OFF,
             overrides={
+                "repro.sched.core": error,
                 "repro.pbs.server": error,
                 "repro.winhpc.scheduler": error,
                 "repro.slurm.controller": error,

@@ -13,7 +13,7 @@ Edge kinds, from strongest to weakest evidence:
     dynamic dispatch through a callback list: a ``for cb in
     x.observers: cb(...)`` loop gets edges to every callable the project
     registers on an attribute of that name (``.append`` sites).  This is
-    how ``PbsServer._notify`` reaches the energy meter and the metrics
+    how ``SchedulerCore._lifecycle`` reaches the energy meter and the metrics
     recorder without any static type linking them.
 ``cha``
     class-hierarchy-analysis fallback: an attribute call on an untyped

@@ -35,6 +35,7 @@ from repro.analysis.flow.symbols import (
     MUTATOR_METHODS,
     ClassInfo,
     FunctionInfo,
+    SymbolTable,
 )
 from repro.analysis.registry import FlowRule, register
 
@@ -138,6 +139,20 @@ def _emits_locally(fn: FunctionInfo) -> bool:
     return False
 
 
+def _lineage(symbols: SymbolTable, qualname: str | None) -> Set[str]:
+    """*qualname* plus every project base class it inherits from."""
+    out: Set[str] = set()
+    pending = [qualname] if qualname is not None else []
+    while pending:
+        current = pending.pop()
+        info = symbols.classes.get(current)
+        if current in out or info is None:
+            continue
+        out.add(current)
+        pending.extend(info.bases)
+    return out
+
+
 @register
 class TraceCoverageRule(FlowRule):
     id = "TRC002"
@@ -187,12 +202,14 @@ class TraceCoverageRule(FlowRule):
     ) -> Tuple[bool, bool]:
         """(mutates, emits) over the method's transitive call closure.
 
-        Mutation only counts in the method itself and its same-class
-        helpers (a call into *another* object's mutator is that class's
-        obligation); emits count anywhere reachable.
+        Mutation only counts in the method itself and the helpers of its
+        own class or a base class (the same object either way; a call
+        into *another* object's mutator is that class's obligation);
+        emits count anywhere reachable.
         """
         symbols = project.symbols
         callgraph = project.callgraph
+        own = _lineage(symbols, method.class_qualname)
         mutates = False
         emits = False
         seen: Set[str] = set()
@@ -205,7 +222,7 @@ class TraceCoverageRule(FlowRule):
             fn = symbols.functions.get(qualname)
             if fn is None:
                 continue
-            if fn.class_qualname == method.class_qualname and _mutates_locally(fn):
+            if fn.class_qualname in own and _mutates_locally(fn):
                 mutates = True
             if _emits_locally(fn):
                 # any reachable emit decides the verdict (no finding)

@@ -47,7 +47,7 @@ class PbsJob:
     end_time: Optional[float] = None
     exit_status: Optional[int] = None
     exec_slots: List[Tuple[str, int]] = field(default_factory=list)
-    #: node-failure recovery bookkeeping (see ``PbsServer.fence_node``)
+    #: node-failure recovery bookkeeping (see ``SchedulerCore.fence_node``)
     restarts: int = 0
     checkpointed_s: float = 0.0
     lost_work_s: float = 0.0
@@ -84,6 +84,11 @@ class PbsJob:
         return "+".join(f"{host}/{core}" for host, core in self.exec_slots)
 
     # -- uniform personality surface (repro.sched.protocol) ------------------
+
+    @property
+    def job_id(self) -> str:
+        """The native id under the name every personality's jobs share."""
+        return self.jobid
 
     @property
     def key(self) -> str:

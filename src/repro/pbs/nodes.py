@@ -31,14 +31,20 @@ class PbsNodeRecord:
     last_state_change: float = 0.0
 
     @property
+    def online(self) -> bool:
+        return self.state not in (PbsNodeState.DOWN, PbsNodeState.OFFLINE)
+
+    @property
     def available_cores(self) -> int:
         if self.state in (PbsNodeState.DOWN, PbsNodeState.OFFLINE):
             return 0
         return self.np - len(self.core_jobs)
 
     @property
-    def busy(self) -> bool:
-        return bool(self.core_jobs)
+    def idle(self) -> bool:
+        return not self.core_jobs and self.state not in (
+            PbsNodeState.DOWN, PbsNodeState.OFFLINE
+        )
 
     def allocate(self, jobid: str, count: int) -> List[int]:
         """Claim *count* cores for *jobid*; returns the core indices.
@@ -91,12 +97,12 @@ class PbsNodeRecord:
         self.core_jobs.clear()
         self.last_state_change = now
 
-    def mark_offline(self, now: float) -> None:
+    def cordon(self, now: float) -> None:
         """Admin cordon (``pbsnodes -o``): no new work, running jobs stay."""
         self.state = PbsNodeState.OFFLINE
         self.last_state_change = now
 
-    def clear_offline(self, now: float) -> None:
+    def uncordon(self, now: float) -> None:
         """Lift a cordon (``pbsnodes -c``); no-op unless offline."""
         if self.state is PbsNodeState.OFFLINE:
             self.state = PbsNodeState.FREE

@@ -111,10 +111,14 @@ class NodeIndex:
         """Move *record* to the bucket matching its current availability.
 
         Must be called after every mutation that can change
-        ``available_cores`` (allocate/release/mark_up/mark_down).
+        ``available_cores`` (allocate/release/mark_up/mark_down).  A
+        record the index has not seen yet is added.
         """
         host = record.hostname
-        old = self._avail[host]
+        old = self._avail.get(host)
+        if old is None:
+            self.add(record)
+            return
         new = record.available_cores
         if old == new:
             return

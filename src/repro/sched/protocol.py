@@ -1,12 +1,15 @@
 """The scheduler-personality protocol.
 
 This module is dependency-free on purpose: it names the *entire* seam
-the dual-boot control plane uses against a batch scheduler, so that a
-new scheduler personality can be written against this one file.  The
+the dual-boot control plane uses against a batch scheduler.  The seam
+is implemented once, by :class:`repro.sched.core.SchedulerCore`; the
 concrete personalities (:class:`repro.pbs.server.PbsServer`,
 :class:`repro.winhpc.scheduler.WinHpcScheduler`,
-:class:`repro.slurm.controller.SlurmController`) implement it
-structurally — there is no base class to inherit.
+:class:`repro.slurm.controller.SlurmController`) subclass the core and
+supply only their own parts as hooks — identity, the lifecycle →
+native state map, placement and dispatch policy, request shaping,
+hostname normalisation, the script environment and the trace payload
+fields that differ (see the hook table in :mod:`repro.sched.core`).
 
 Vocabulary
 ----------
@@ -71,7 +74,8 @@ class JobRequest:
 class SchedulerPersonality(Protocol):
     """Everything the control plane needs from a batch scheduler.
 
-    Implemented structurally by each scheduler package; constructed via
+    Implemented by :class:`repro.sched.core.SchedulerCore` and its
+    personality subclasses; constructed via
     :func:`repro.sched.factory.create_scheduler`.
     """
 

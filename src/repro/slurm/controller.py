@@ -16,77 +16,61 @@ Priority scheduling with EASY backfill (the half SLURM's
   never be satisfied by waiting) backfill is unrestricted, since no
   reservation can be violated.
 
-Job lifecycle, node fencing and checkpoint-credit recovery mirror the
-other personalities so the control plane sees identical semantics
-through the :mod:`repro.sched` seam.
+The job lifecycle, node fencing, checkpoint-credit recovery and the
+time-limit timer come from :class:`repro.sched.core.SchedulerCore`, so
+the control plane sees identical semantics through the
+:mod:`repro.sched` seam.  A job with ``time_limit_s`` set is killed at
+the limit and ends TIMEOUT — the guarantee the backfill test above
+relies on.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import SchedulerError
-from repro.oslayer.shell import run_script
 from repro.pbs.scheduler import NodeIndex
+from repro.sched.core import SchedulerCore
 from repro.sched.protocol import SWITCH_TAG, JobRequest
-from repro.simkernel import Event, Interrupt, Simulator, Timeout
+from repro.simkernel import Simulator
 from repro.slurm.job import (
     PRIORITY_DEFAULT,
     SlurmJob,
     SlurmJobSpec,
     SlurmJobState,
 )
-from repro.slurm.nodestate import SlurmNodeRecord, SlurmNodeState
+from repro.slurm.nodestate import SlurmNodeRecord
 
 #: The conventional OS-release job name (shared across personalities so
 #: every detector filters the same workload).
 SWITCH_JOB_NAME = "release_1_node"
 
 
-class SlurmController:
-    """Job queue + node table, the ``slurmctld`` role.
-
-    Implements the :class:`repro.sched.protocol.SchedulerPersonality`
-    seam (structurally) so the dual-boot control plane can drive it
-    without importing this module.
-    """
+class SlurmController(SchedulerCore):
+    """Job queue + node table, the ``slurmctld`` role."""
 
     # -- personality identity (repro.sched.protocol) -------------------------
     kind = "slurm"
     display_name = "SLURM"
     join_event = "up"
+    leave_event = "down"
     record_key_prefix = "slurm"
     default_owner = "slurm"
+    STATES = {
+        "queued": SlurmJobState.PENDING,
+        "running": SlurmJobState.RUNNING,
+        "finished": SlurmJobState.COMPLETED,
+        "failed": SlurmJobState.FAILED,
+        "cancelled": SlurmJobState.CANCELLED,
+        "timed-out": SlurmJobState.TIMEOUT,
+    }
+    jobid_env = "SLURM_JOB_ID"
 
     def __init__(self, sim: Simulator, head_name: str = "slurmctl") -> None:
-        self.sim = sim
-        self.head_name = head_name
-        self.nodes: Dict[str, SlurmNodeRecord] = {}
-        self.jobs: Dict[int, SlurmJob] = {}
-        #: pending job ids ordered (priority desc, submission order)
-        self.queue_order: List[int] = []
-        #: Monotonic counter bumped on every externally visible mutation —
-        #: same contract as ``PbsServer.mutation_epoch``; the command
-        #: renders and the SLURM detector cache on it.
-        self.mutation_epoch: int = 0
+        super().__init__(sim, head_name)
         #: free-core buckets shared with PBS; duck-typed over
         #: :class:`SlurmNodeRecord` (hostname + available_cores).
         self._index: Any = NodeIndex()
-        self._running: Dict[int, SlurmJob] = {}
-        self._max_cpus: int = 0
-        self._node_os: Dict[str, object] = {}
-        self._runners: Dict[int, object] = {}
-        self._seq = 1
-        #: Optional :class:`repro.trace.Tracer` — set by the middleware.
-        self.tracer: Any = None
-        #: node-failure recovery policy (middleware copies config here)
-        self.max_job_restarts = 3
-        self.checkpoint_interval_s: Optional[float] = None
-        self.requeues = 0
-        self.jobs_failed_on_fence = 0
-        self.observers: List[Callable[[str, SlurmJob], None]] = []
-        #: node observers: fn(event_name, hostname) with events up/down
-        self.node_observers: List[Callable[[str, str], None]] = []
 
     # -- node table -----------------------------------------------------------
 
@@ -94,204 +78,20 @@ class SlurmController:
     def add_node(
         self, hostname: str, cores: int, partition: str = "batch"
     ) -> SlurmNodeRecord:
-        if hostname in self.nodes:
-            raise SchedulerError(f"node {hostname} already in the cluster")
         record = SlurmNodeRecord(
             hostname=hostname, cpus=cores, partition=partition
         )
-        self.nodes[hostname] = record
-        self._index.add(record)
-        if cores > self._max_cpus:
-            self._max_cpus = cores
-        self.mutation_epoch += 1
-        return record
+        return self._register(record, cores)
 
-    def node(self, hostname: str) -> SlurmNodeRecord:
-        try:
-            return self.nodes[hostname]
-        except KeyError:
-            raise SchedulerError(f"unknown node {hostname}") from None
+    #: a slurmd registered / vanished
+    node_online = SchedulerCore.join_node
+    node_unreachable = SchedulerCore.leave_node
 
-    def node_online(self, hostname: str, os_instance: object = None) -> None:
-        """A slurmd registered: the node joins the free pool."""
-        record = self.node(hostname)
-        # a node that crashed and rebooted before the monitor fenced it
-        # comes back with its old allocations booked: recover them first
-        stranded = list(record.allocations)
-        record.mark_up()
+    def _reindex(self, record: Any) -> None:
         self._index.reindex(record)
-        self.mutation_epoch += 1
-        if os_instance is not None:
-            self._node_os[hostname] = os_instance
-        for job_id in stranded:
-            job = self.jobs.get(job_id)
-            if job is not None and job.state is SlurmJobState.RUNNING:
-                self._recover(job, cause="node returned after crash")
-        for observer in self.node_observers:
-            observer("up", hostname)
-        self._try_schedule()
 
-    def node_unreachable(self, hostname: str) -> None:
-        """The slurmd vanished (reboot/crash): kill its jobs, mark down."""
-        record = self.node(hostname)
-        victims = list(record.allocations)
-        record.mark_down()
-        self._index.reindex(record)
-        self.mutation_epoch += 1
-        self._node_os.pop(hostname, None)
-        for observer in self.node_observers:
-            observer("down", hostname)
-        for job_id in victims:
-            runner = self._runners.get(job_id)
-            if runner is not None:
-                runner.interrupt("node down")  # type: ignore[attr-defined]
-
-    # -- node failure & recovery ---------------------------------------------
-
-    # reprolint: disable=TRC002 -- the hardware layer emits node.crash at this same instant; the transition is already traced
-    def node_crashed(self, hostname: str) -> None:
-        """Hard node death: freeze its jobs where they stand.
-
-        Same contract as ``PbsServer.node_crashed`` — runners are killed
-        and each victim records when it stopped making progress; the
-        node record is untouched until the health monitor fences it.
-        """
-        record = self.nodes.get(hostname)
-        if record is None:
-            return
-        for job_id in list(record.allocations):
-            job = self.jobs.get(job_id)
-            if job is None or job.state is not SlurmJobState.RUNNING:
-                continue
-            if job.interrupted_at is None:
-                job.interrupted_at = self.sim.now
-            runner = self._runners.get(job_id)
-            if runner is not None and getattr(runner, "alive", False):
-                runner.kill()  # type: ignore[attr-defined]
-
-    def fence_node(
-        self, hostname: str, cause: str = "node fenced"
-    ) -> Dict[str, List[int]]:
-        """The health monitor declared the node dead: evict and recover."""
-        out: Dict[str, List[int]] = {"requeued": [], "failed": []}
-        record = self.nodes.get(hostname)
-        if record is None:
-            return out
-        victims = list(record.allocations)
-        record.mark_down()
-        self._index.reindex(record)
-        self.mutation_epoch += 1
-        self._node_os.pop(hostname, None)
-        for observer in self.node_observers:
-            observer("down", hostname)
-        for job_id in victims:
-            job = self.jobs.get(job_id)
-            if job is None or job.state is not SlurmJobState.RUNNING:
-                continue
-            out[self._recover(job, cause)].append(job_id)
-        self._try_schedule()
-        return out
-
-    def cordon_node(self, hostname: str) -> None:
-        """Admin drain: no new placements, running jobs keep running."""
-        record = self.node(hostname)
-        record.mark_drain()
-        self._index.reindex(record)
-        self.mutation_epoch += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "node.cordoned", node=hostname, scheduler="slurm"
-            )
-
-    def uncordon_node(self, hostname: str) -> None:
-        record = self.node(hostname)
-        record.resume()
-        self._index.reindex(record)
-        self.mutation_epoch += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                "node.uncordoned", node=hostname, scheduler="slurm"
-            )
-        self._try_schedule()
-
-    def _recover(self, job: SlurmJob, cause: str) -> str:
-        """Evict one running job from a dead node: requeue or fail.
-
-        Mirror of ``WinHpcScheduler._recover`` — the checkpoint model
-        credits ``floor(elapsed / interval) * interval`` seconds as
-        durable; the remainder is lost work.
-        """
-        runner = self._runners.pop(job.job_id, None)
-        if runner is not None and getattr(runner, "alive", False):
-            runner.kill()  # type: ignore[attr-defined]
-        stopped_at = (
-            job.interrupted_at if job.interrupted_at is not None else self.sim.now
-        )
-        started_at = job.start_time if job.start_time is not None else stopped_at
-        elapsed = max(0.0, stopped_at - started_at)
-        job.interrupted_at = None
-        interval = self.checkpoint_interval_s
-        durable = 0.0
-        if interval is not None and interval > 0:
-            durable = (elapsed // interval) * interval
-            if job.runtime_s is not None:
-                durable = min(
-                    durable, max(0.0, job.runtime_s - job.checkpointed_s)
-                )
-        for hostname in list(job.allocation):
-            host_record = self.nodes[hostname]
-            host_record.release(job.job_id)
-            self._index.reindex(host_record)
-        job.allocation.clear()
-        self._running.pop(job.job_id, None)
-        self.mutation_epoch += 1
-        if job.rerunnable and job.restarts < self.max_job_restarts:
-            job.restarts += 1
-            job.checkpointed_s += durable
-            job.lost_work_s += elapsed - durable
-            job.state = SlurmJobState.PENDING
-            job.start_time = None
-            self._requeue(job)
-            self.requeues += 1
-            self._trace_job(
-                "job.requeued", job, cause=cause,
-                restarts=job.restarts,
-                lost_s=elapsed - durable,
-                checkpointed_s=job.checkpointed_s,
-            )
-            self._notify("requeued", job)
-            return "requeued"
-        job.lost_work_s += elapsed
-        self.jobs_failed_on_fence += 1
-        suffix = (
-            "not rerunnable" if not job.rerunnable else "retry budget exhausted"
-        )
-        self._finish(job, SlurmJobState.FAILED, cause=f"{cause} ({suffix})")
-        return "failed"
-
-    def _requeue(self, job: SlurmJob) -> None:
-        """Reinsert by (priority, submission order): a requeued job rejoins
-        where its original position puts it, not at the back of its band."""
-        position = 0
-        for index in range(len(self.queue_order) - 1, -1, -1):
-            other = self.jobs[self.queue_order[index]]
-            if other.priority > job.priority or (
-                other.priority == job.priority and other.job_id < job.job_id
-            ):
-                position = index + 1
-                break
-        self.queue_order.insert(position, job.job_id)
-
-    def _node_alive(self, job: SlurmJob) -> bool:
-        """Whether the slurmd hosting *job* is still actually running.
-
-        Unit setups that call ``node_online`` without an OS model have no
-        handle; they count as alive (nothing there can crash silently).
-        """
-        os_instance = self._node_os.get(next(iter(job.allocation)))
-        if os_instance is None:
-            return True
-        return bool(getattr(os_instance, "running", True))
+    def free_cores(self) -> int:
+        return int(self._index.free_cores())
 
     # -- submission -----------------------------------------------------------
 
@@ -307,11 +107,11 @@ class SlurmController:
         capacity a real controller hands to other jobs.
         """
         if spec.nodes > 0:
-            return spec.nodes, spec.ppn if spec.ppn > 0 else self._max_cpus
-        if spec.cpus <= self._max_cpus:
+            return spec.nodes, spec.ppn if spec.ppn > 0 else self._max_cores
+        if spec.cpus <= self._max_cores:
             return 1, spec.cpus
         best: Optional[Tuple[int, int, int]] = None
-        for ppn in range(self._max_cpus, 0, -1):
+        for ppn in range(self._max_cores, 0, -1):
             nodes = -(-spec.cpus // ppn)
             if nodes > len(self.nodes):
                 continue
@@ -319,7 +119,7 @@ class SlurmController:
             if best is None or (waste, nodes) < (best[0], best[1]):
                 best = (waste, nodes, ppn)
         if best is None:
-            return -(-spec.cpus // self._max_cpus), self._max_cpus
+            return -(-spec.cpus // self._max_cores), self._max_cores
         return best[1], best[2]
 
     def submit(self, spec: SlurmJobSpec, owner: str = "slurm") -> SlurmJob:
@@ -330,9 +130,9 @@ class SlurmController:
         nodes, ppn = self._shape(spec)
         if nodes < 1 or ppn < 1:
             raise SchedulerError(f"bad resource request nodes={nodes} ppn={ppn}")
-        if ppn > self._max_cpus:
+        if ppn > self._max_cores:
             raise SchedulerError(
-                f"ppn={ppn} exceeds the largest node ({self._max_cpus} cpus)"
+                f"ppn={ppn} exceeds the largest node ({self._max_cores} cpus)"
             )
         if nodes > len(self.nodes):
             raise SchedulerError(
@@ -356,58 +156,8 @@ class SlurmController:
             tag=spec.tag,
         )
         self._seq += 1
-        self.jobs[job.job_id] = job
-        # priority queue with FIFO ties: insert after the last job of
-        # equal or greater priority (tail scan — O(1) for the common
-        # equal-priority case).
-        position = 0
-        for index in range(len(self.queue_order) - 1, -1, -1):
-            if self.jobs[self.queue_order[index]].priority >= job.priority:
-                position = index + 1
-                break
-        self.queue_order.insert(position, job.job_id)
-        self.mutation_epoch += 1
-        self._trace_job("job.submitted", job, cores=job.total_cores)
-        self._notify("submitted", job)
-        self._try_schedule()
+        self._admit(job)
         return job
-
-    def cancel(self, job_id: int) -> None:
-        job = self._get(job_id)
-        if job.state is SlurmJobState.PENDING:
-            self.queue_order.remove(job_id)
-            self._finish(job, SlurmJobState.CANCELLED)
-        elif job.state is SlurmJobState.RUNNING:
-            runner = self._runners.get(job_id)
-            if runner is not None:
-                runner.interrupt("cancelled")  # type: ignore[attr-defined]
-        else:
-            raise SchedulerError(f"job {job_id} is {job.state.value}")
-
-    # -- queries ---------------------------------------------------------------
-
-    def _get(self, job_id: int) -> SlurmJob:
-        try:
-            return self.jobs[job_id]
-        except KeyError:
-            raise SchedulerError(f"unknown job {job_id}") from None
-
-    def queued_jobs(self) -> List[SlurmJob]:
-        """Pending jobs in dispatch (priority, FIFO) order."""
-        return [self.jobs[j] for j in self.queue_order]
-
-    def running_jobs(self) -> List[SlurmJob]:
-        # Sorted by job id to present a stable submission-order view
-        # (priorities can start jobs out of id order).
-        return sorted(self._running.values(), key=lambda j: j.job_id)
-
-    def free_cores(self) -> int:
-        return int(self._index.free_cores())
-
-    def up_nodes(self) -> List[SlurmNodeRecord]:
-        return [
-            r for r in self.nodes.values() if r.state is SlurmNodeState.UP
-        ]
 
     # -- personality seam (repro.sched.protocol) -----------------------------
 
@@ -433,31 +183,6 @@ class SlurmController:
         )
         return str(self.submit(spec, owner=owner).job_id)
 
-    def get_job(self, jobid: str) -> Optional[SlurmJob]:
-        try:
-            return self.jobs.get(int(jobid))
-        except ValueError:
-            return None
-
-    def node_idle(self, hostname: str) -> bool:
-        record = self.nodes.get(hostname)
-        return record is not None and record.idle
-
-    def idle_node_count(self) -> int:
-        return sum(1 for r in self.nodes.values() if r.idle)
-
-    def online_node_count(self) -> int:
-        return sum(
-            1 for r in self.nodes.values() if r.state is SlurmNodeState.UP
-        )
-
-    def drain_node(self, hostname: str) -> List[str]:
-        """Cordon *hostname*; returns the job ids still running there."""
-        record = self.node(hostname)
-        running = [str(job_id) for job_id in record.allocations]
-        self.cordon_node(hostname)
-        return running
-
     def submit_switch_job(self, script: str, owner: str) -> str:
         """Submit an OS-release job: one whole node, not rerunnable."""
         job = self.submit(
@@ -471,21 +196,6 @@ class SlurmController:
             owner=owner,
         )
         return str(job.job_id)
-
-    def pending_switch_jobs(self) -> int:
-        return sum(
-            1
-            for job in self.jobs.values()
-            if job.tag == SWITCH_TAG
-            and job.state in (SlurmJobState.PENDING, SlurmJobState.RUNNING)
-        )
-
-    def cancel_if_queued(self, jobid: str) -> bool:
-        job = self.get_job(jobid)
-        if job is not None and job.state is SlurmJobState.PENDING:
-            self.cancel(job.job_id)
-            return True
-        return False
 
     # -- scheduling -----------------------------------------------------------
 
@@ -557,79 +267,6 @@ class SlurmController:
         placement = self._index.allocate_fifo(job)
         return placement  # type: ignore[no-any-return]
 
-    def _start(
-        self, job: SlurmJob, placement: List[Tuple[SlurmNodeRecord, int]]
-    ) -> None:
-        job.state = SlurmJobState.RUNNING
-        job.start_time = self.sim.now
-        for record, cpus in placement:
-            record.allocate(job.job_id, cpus)
-            self._index.reindex(record)
-            job.allocation[record.hostname] = cpus
-        self._running[job.job_id] = job
-        self.mutation_epoch += 1
-        self._runners[job.job_id] = self.sim.spawn(
-            self._run(job), name=f"slurmjob:{job.job_id}"
-        )
-        self._trace_job("job.started", job, hosts=list(job.allocation))
-        self._notify("started", job)
-
-    def _run(self, job: SlurmJob) -> Iterator[object]:
-        final = SlurmJobState.COMPLETED
-        try:
-            if not self._node_alive(job):
-                # placed onto a node that silently died: nothing runs
-                # there, nothing ever completes — park until the health
-                # monitor fences the node and this runner is killed
-                yield Event(self.sim)
-            if job.script is not None:
-                first_host = next(iter(job.allocation))
-                os_instance = self._node_os.get(first_host)
-                if os_instance is None:
-                    final = SlurmJobState.FAILED
-                else:
-                    result = yield from run_script(
-                        os_instance, job.script,
-                        env={"SLURM_JOB_ID": str(job.job_id)},
-                    )
-                    if not result.ok:
-                        final = SlurmJobState.FAILED
-            else:
-                remaining = job.runtime_s if job.runtime_s is not None else 0.0
-                yield Timeout(max(0.0, remaining - job.checkpointed_s))
-        except Interrupt:
-            final = SlurmJobState.CANCELLED
-        self._finish(job, final)
-
-    def _finish(
-        self, job: SlurmJob, state: SlurmJobState, cause: Optional[str] = None
-    ) -> None:
-        job.state = state
-        job.end_time = self.sim.now
-        for hostname in job.allocation:
-            record = self.nodes[hostname]
-            record.release(job.job_id)
-            self._index.reindex(record)
-        self._running.pop(job.job_id, None)
-        self.mutation_epoch += 1
-        self._runners.pop(job.job_id, None)
-        if cause is not None:
-            self._trace_job("job.failed", job, cause=cause, state=state.value)
-        else:
-            self._trace_job("job.finished", job, state=state.value)
-        if job.on_complete is not None:
-            job.on_complete(job)
-        self._notify("finished", job)
-        self._try_schedule()
-
-    def _trace_job(self, kind: str, job: SlurmJob,
-                   cause: Optional[str] = None, **fields: Any) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                kind, cause=cause, scheduler="slurm", jobid=job.job_id,
-                **fields,
-            )
-
-    def _notify(self, event: str, job: SlurmJob) -> None:
-        for observer in self.observers:
-            observer(event, job)
+    def _time_limit(self, job: SlurmJob) -> Optional[float]:
+        # the runtime fallback of _limit is a projection, never a limit
+        return job.time_limit_s

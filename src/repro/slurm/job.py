@@ -15,6 +15,7 @@ class SlurmJobState(enum.Enum):
     COMPLETED = "CD"
     FAILED = "F"
     CANCELLED = "CA"
+    TIMEOUT = "TO"
 
 
 #: Default ``--priority`` (sbatch accepts 0..2**32-1; this model keeps a
@@ -72,15 +73,21 @@ class SlurmJob:
     on_complete: Optional[Callable[["SlurmJob"], None]] = None
     tag: str = ""
     rerunnable: bool = True
-    #: node-failure recovery bookkeeping (see ``SlurmController.fence_node``)
+    #: node-failure recovery bookkeeping (see ``SchedulerCore.fence_node``)
     restarts: int = 0
     checkpointed_s: float = 0.0
     lost_work_s: float = 0.0
+    walltime_used_s: float = 0.0
     interrupted_at: Optional[float] = None
 
     @property
     def total_cores(self) -> int:
         return self.nodes * self.ppn
+
+    @property
+    def seq_number(self) -> int:
+        """Submission order (job ids are handed out sequentially)."""
+        return self.job_id
 
     @property
     def wait_time_s(self) -> Optional[float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 from repro.errors import SchedulerError
 
@@ -41,6 +41,10 @@ class SlurmNodeRecord:
         return sum(self.allocations.values())
 
     @property
+    def online(self) -> bool:
+        return self.state is SlurmNodeState.UP
+
+    @property
     def available_cores(self) -> int:
         """Free cpus; 0 unless UP (the NodeIndex bucket contract)."""
         if self.state is not SlurmNodeState.UP:
@@ -62,21 +66,28 @@ class SlurmNodeRecord:
     def release(self, job_id: int) -> None:
         self.allocations.pop(job_id, None)
 
-    def mark_up(self) -> None:
+    def jobs_here(self) -> List[int]:
+        """Job ids holding cpus here, in allocation order."""
+        return list(self.allocations)
+
+    # slurmctld's state-change times are not modelled: the ``now``
+    # argument of the transitions below is unused here.
+
+    def mark_up(self, now: float) -> None:
         """slurmd registered: the node joins its partition clean."""
         self.state = SlurmNodeState.UP
         self.allocations.clear()
 
-    def mark_down(self) -> None:
+    def mark_down(self, now: float) -> None:
         self.state = SlurmNodeState.DOWN
         self.allocations.clear()
 
-    def mark_drain(self) -> None:
+    def cordon(self, now: float) -> None:
         """``scontrol update state=drain``: only an UP node drains."""
         if self.state is SlurmNodeState.UP:
             self.state = SlurmNodeState.DRAIN
 
-    def resume(self) -> None:
+    def uncordon(self, now: float) -> None:
         """``scontrol update state=resume``: reverse a drain."""
         if self.state is SlurmNodeState.DRAIN:
             self.state = SlurmNodeState.UP

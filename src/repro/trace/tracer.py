@@ -29,7 +29,7 @@ from repro.trace.events import TraceEvent
 _Pending = Tuple[str, float, Optional[str], Optional[int], Optional[str],
                  Dict[str, Any]]
 
-#: Valid ``Tracer.mode`` / ``MiddlewareConfig.trace_mode`` values.
+#: Valid ``Tracer.mode`` / ``MiddlewareConfig.trace.mode`` values.
 TRACE_MODES = ("full", "counts", "off")
 
 

@@ -66,10 +66,11 @@ class WinHpcJob:
     on_complete: Optional[Callable[["WinHpcJob"], None]] = None
     tag: str = ""
     rerunnable: bool = True
-    #: node-failure recovery bookkeeping (see ``WinHpcScheduler.fence_node``)
+    #: node-failure recovery bookkeeping (see ``SchedulerCore.fence_node``)
     restarts: int = 0
     checkpointed_s: float = 0.0
     lost_work_s: float = 0.0
+    walltime_used_s: float = 0.0
     interrupted_at: Optional[float] = None
 
     @property
@@ -77,6 +78,11 @@ class WinHpcJob:
         """For NODE-unit jobs the whole node is claimed; ``None`` here means
         "all cores of whatever node is chosen"."""
         return None if self.unit is WinJobUnit.NODE else 1
+
+    @property
+    def seq_number(self) -> int:
+        """Submission order (job ids are handed out sequentially)."""
+        return self.job_id
 
     @property
     def wait_time_s(self) -> Optional[float]:

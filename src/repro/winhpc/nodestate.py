@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
 
 class WinNodeState(enum.Enum):
@@ -30,6 +30,10 @@ class WinNodeRecord:
         return sum(self.allocations.values())
 
     @property
+    def online(self) -> bool:
+        return self.state is WinNodeState.ONLINE
+
+    @property
     def available_cores(self) -> int:
         if self.state is not WinNodeState.ONLINE:
             return 0
@@ -38,6 +42,10 @@ class WinNodeRecord:
     @property
     def idle(self) -> bool:
         return self.state is WinNodeState.ONLINE and not self.allocations
+
+    def jobs_here(self) -> List[int]:
+        """Job ids holding cores here, in allocation order."""
+        return list(self.allocations)
 
     def allocate(self, job_id: int, count: int) -> None:
         if count > self.available_cores:
@@ -50,20 +58,24 @@ class WinNodeRecord:
     def release(self, job_id: int) -> None:
         self.allocations.pop(job_id, None)
 
-    def mark_online(self) -> None:
+    # The head node keeps no state-change timestamps: the ``now``
+    # argument of the transitions below is unused here.
+
+    def mark_up(self, now: float) -> None:
+        """The node manager came online."""
         self.state = WinNodeState.ONLINE
         self.allocations.clear()
 
-    def mark_unreachable(self) -> None:
+    def mark_down(self, now: float) -> None:
         self.state = WinNodeState.UNREACHABLE
         self.allocations.clear()
 
-    def mark_draining(self) -> None:
-        """Admin cordon: no new work, running allocations stay."""
+    def cordon(self, now: float) -> None:
+        """Admin drain: no new work, running allocations stay."""
         if self.state is WinNodeState.ONLINE:
             self.state = WinNodeState.DRAINING
 
-    def resume_online(self) -> None:
-        """Lift a cordon; no-op unless draining."""
+    def uncordon(self, now: float) -> None:
+        """Lift a drain; no-op unless draining."""
         if self.state is WinNodeState.DRAINING:
             self.state = WinNodeState.ONLINE

@@ -12,3 +12,20 @@ class MiniSched:
 
     def _note(self, job) -> None:
         self.tracer.emit("job.submitted", jobid=job)
+
+
+class MiniCore:
+    """A base class owning the state; its helper mutates and traces."""
+
+    def __init__(self, tracer) -> None:
+        self.tracer = tracer
+        self.cordoned = []
+
+    def _cordon(self, host) -> None:
+        self.cordoned.append(host)
+        self.tracer.emit("node.cordoned", node=host)
+
+
+class MiniPersonality(MiniCore):
+    def cordon(self, host) -> None:
+        self._cordon(host)

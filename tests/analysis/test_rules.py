@@ -149,6 +149,14 @@ def test_perf002_names_the_unsafe_writer():
     assert "Store.items" in finding.message
 
 
+def test_trc002_counts_mutation_through_an_inherited_helper():
+    report = lint_flow_fixture("TRC002", "bad")
+    messages = sorted(f.message for f in report.findings)
+    assert len(messages) == 2
+    assert "MiniPersonality.cordon()" in messages[0]
+    assert "MiniSched.submit()" in messages[1]
+
+
 def test_det001_counts_each_call_site():
     report = lint_fixture("det001_bad")
     assert len(report.findings) == 4  # time(), now(), pc(), sleep()

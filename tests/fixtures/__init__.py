@@ -5,7 +5,8 @@ Figure-5 message format — tests across the suite (wire codec, detector,
 property tests) must agree on them byte-for-byte, so they live here once.
 
 ``golden_trace_*.jsonl`` are checked-in canonical trace exports of one
-tiny v1 and one tiny v2 scenario; ``tests/trace/test_golden_traces.py``
+tiny v1 and one tiny v2 scenario (the v2 one also with SLURM as the
+Windows-side scheduler); ``tests/trace/test_golden_traces.py``
 compares fresh runs against them and regenerates them when
 ``REPRO_REGEN_GOLDEN=1`` is set.
 """
@@ -26,11 +27,18 @@ FIGURE6_STUCK_WIRE = "100041191.eridani.qgg.hud.ac.uk"
 FIGURE6_WIRES = (FIGURE6_IDLE_WIRE, FIGURE6_STUCK_WIRE)
 
 
-def golden_trace_path(version: int) -> Path:
-    """Path of the checked-in golden trace for middleware v1 or v2."""
-    return FIXTURES_DIR / f"golden_trace_v{version}.jsonl"
+def golden_trace_path(version: int, windows_scheduler: str = "winhpc") -> Path:
+    """Path of the checked-in golden trace for middleware v1 or v2.
+
+    The default PBS<->WinHPC pairing keeps the historical unsuffixed
+    name; other Windows-side schedulers add ``_<kind>``.
+    """
+    suffix = "" if windows_scheduler == "winhpc" else f"_{windows_scheduler}"
+    return FIXTURES_DIR / f"golden_trace_v{version}{suffix}.jsonl"
 
 
-def load_golden_trace(version: int) -> str:
+def load_golden_trace(version: int, windows_scheduler: str = "winhpc") -> str:
     """The checked-in golden JSONL export (raw text)."""
-    return golden_trace_path(version).read_text(encoding="ascii")
+    return golden_trace_path(version, windows_scheduler).read_text(
+        encoding="ascii"
+    )

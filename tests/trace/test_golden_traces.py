@@ -2,7 +2,8 @@
 
 One tiny v1 and one tiny v2 scenario each drive a full switch cycle
 (Windows job stuck -> switch order -> reboot -> confirm) on a 2-node
-cluster; their canonical JSONL exports are checked in under
+cluster; the v2 scenario runs once more with SLURM as the Windows-side
+scheduler.  Their canonical JSONL exports are checked in under
 ``tests/fixtures/``.  Any change to event kinds, field names, emission
 points, or control-plane timing shows up here as a readable diff.
 
@@ -17,6 +18,7 @@ import os
 import pytest
 
 from repro.core import MiddlewareConfig, build_hybrid_cluster
+from repro.sched import JobRequest
 from repro.simkernel import MINUTE
 from repro.trace import check_events
 
@@ -25,24 +27,38 @@ from tests.fixtures import golden_trace_path, load_golden_trace
 REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 
-def golden_scenario(version: int):
+#: (middleware version, Windows-side scheduler); the ids of the
+#: PBS<->WinHPC cases stay the bare version number.
+SCENARIOS = [
+    pytest.param(1, "winhpc", id="1"),
+    pytest.param(2, "winhpc", id="2"),
+    pytest.param(2, "slurm", id="2-slurm"),
+]
+
+
+def golden_scenario(version: int, windows_scheduler: str = "winhpc"):
     """The checked-in scenario: one stuck Windows job forces one switch."""
     hybrid = build_hybrid_cluster(
         num_nodes=2, seed=7, version=version,
-        config=MiddlewareConfig(version=version, check_cycle_s=5 * MINUTE),
+        config=MiddlewareConfig(
+            version=version, check_cycle_s=5 * MINUTE,
+            windows_scheduler=windows_scheduler,
+        ),
     )
     hybrid.deploy()
     hybrid.wait_for_nodes()
-    hybrid.submit_windows_job("mdcs", cores=4, runtime_s=5 * MINUTE)
+    hybrid.submit(
+        "windows", JobRequest(name="mdcs", cores=4, runtime_s=5 * MINUTE)
+    )
     hybrid.sim.run(until=hybrid.sim.now + 40 * MINUTE)
     return hybrid
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_golden_trace_matches_fixture(version):
-    hybrid = golden_scenario(version)
+@pytest.mark.parametrize("version,windows_scheduler", SCENARIOS)
+def test_golden_trace_matches_fixture(version, windows_scheduler):
+    hybrid = golden_scenario(version, windows_scheduler)
     export = hybrid.tracer.export_jsonl()
-    path = golden_trace_path(version)
+    path = golden_trace_path(version, windows_scheduler)
 
     if REGEN:
         path.write_text(export, encoding="ascii")
@@ -51,24 +67,24 @@ def test_golden_trace_matches_fixture(version):
     assert path.exists(), (
         f"{path.name} missing — run with REPRO_REGEN_GOLDEN=1 to create it"
     )
-    golden = load_golden_trace(version)
+    golden = load_golden_trace(version, windows_scheduler)
     if export != golden:
         diff = "\n".join(difflib.unified_diff(
             golden.splitlines(), export.splitlines(),
-            fromfile=f"golden_trace_v{version}.jsonl", tofile="fresh run",
+            fromfile=path.name, tofile="fresh run",
             lineterm="", n=2,
         ))
         pytest.fail(
-            f"v{version} trace diverged from the golden fixture "
+            f"{path.name} diverged from the fresh run "
             f"(REPRO_REGEN_GOLDEN=1 to accept):\n{diff}"
         )
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_golden_scenario_is_clean_and_complete(version):
+@pytest.mark.parametrize("version,windows_scheduler", SCENARIOS)
+def test_golden_scenario_is_clean_and_complete(version, windows_scheduler):
     """The golden runs themselves satisfy every invariant and actually
     exercise the full switch cycle (so the fixtures are worth keeping)."""
-    hybrid = golden_scenario(version)
+    hybrid = golden_scenario(version, windows_scheduler)
     events = hybrid.tracer.events
     assert check_events(events) == []
     kinds = {e.kind for e in events}
@@ -78,14 +94,14 @@ def test_golden_scenario_is_clean_and_complete(version):
     assert "control.decision" in kinds
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_golden_fixture_passes_invariants(version):
+@pytest.mark.parametrize("version,windows_scheduler", SCENARIOS)
+def test_golden_fixture_passes_invariants(version, windows_scheduler):
     """The checked-in JSONL itself round-trips and is invariant-clean."""
-    if not golden_trace_path(version).exists():
+    if not golden_trace_path(version, windows_scheduler).exists():
         pytest.skip("fixture not generated yet")
     from repro.trace import Tracer, check_jsonl
 
-    text = load_golden_trace(version)
+    text = load_golden_trace(version, windows_scheduler)
     assert check_jsonl(text) == []
     events = Tracer.load_jsonl(text)
     assert events, "golden trace must not be empty"
