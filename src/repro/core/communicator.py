@@ -31,7 +31,7 @@ an imperfect one:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.controller import BootController
 from repro.core.policy import ClusterView, SwitchDecision, SwitchPolicy
@@ -57,6 +57,10 @@ class DecisionRecord:
     decision: SwitchDecision
 
 
+#: the side that gives up a node when the cluster switches to a target OS
+DONOR_SIDE = {"windows": "linux", "linux": "windows"}
+
+
 class SwitchOrders:
     """Step 5: issuing reboot batch jobs and tracking what is in flight.
 
@@ -66,12 +70,14 @@ class SwitchOrders:
     ``FAILED`` and cancels its batch job if the job is still queued).
     The policy's in-flight counts come from this ledger, so a node that
     hangs at boot cannot absorb switch capacity forever.
+
+    *schedulers* maps each OS side (``"linux"``, ``"windows"``) to the
+    personality running it.
     """
 
     def __init__(
         self,
-        pbs: Any,
-        winhpc: Any,
+        schedulers: Dict[str, Any],
         controller: BootController,
         pbs_user: str = "sliang",
         order_timeout_s: float = DEFAULT_ORDER_TIMEOUT_S,
@@ -79,8 +85,8 @@ class SwitchOrders:
     ) -> None:
         if order_timeout_s <= 0:
             raise MiddlewareError("order timeout must be positive")
-        self.pbs = pbs
-        self.winhpc = winhpc
+        self.schedulers = schedulers
+        self.sim = schedulers["linux"].sim
         self.controller = controller
         self.pbs_user = pbs_user
         self.order_timeout_s = order_timeout_s
@@ -93,25 +99,19 @@ class SwitchOrders:
         #: nodes whose next scheduler join is a crash recovery, not a
         #: switch landing — their join must not confirm a pending order
         self._expected_rejoins: set = set()
-        pbs.node_observers.append(self._on_pbs_node_event)
-        winhpc.node_observers.append(self._on_win_node_event)
+        schedulers["linux"].node_observers.append(self._on_linux_node_event)
+        schedulers["windows"].node_observers.append(
+            self._on_windows_node_event
+        )
 
     # -- in-flight accounting ------------------------------------------------
-
-    def pending_to_windows(self) -> int:
-        """Switch jobs alive on the Linux side (nodes heading to Windows)."""
-        return self.pbs.pending_switch_jobs()
-
-    def pending_to_linux(self) -> int:
-        """Switch jobs alive on the Windows side (nodes heading to Linux)."""
-        return self.winhpc.pending_switch_jobs()
 
     def in_flight(self, target_os: str) -> int:
         """Unresolved orders toward *target_os* — the watchdog-backed count.
 
-        Unlike the raw job-state scans above, this stays high through the
-        node's reboot window (the batch job is already dead then) and
-        drops when the watchdog declares the order failed.
+        Unlike the donor's raw ``pending_switch_jobs()`` scan, this stays
+        high through the node's reboot window (the batch job is already
+        dead then) and drops when the watchdog declares the order failed.
         """
         return sum(
             1 for o in self.orders if o.pending and o.target_os == target_os
@@ -132,17 +132,18 @@ class SwitchOrders:
             if self.tracer is not None:
                 self.tracer.emit("control.flag_set", target=target)
         if target == "windows":
-            donor, script = self.pbs, self.controller.linux_switch_script("windows")
+            script = self.controller.linux_switch_script("windows")
             owner = self.pbs_user
         else:
-            donor, script = self.winhpc, self.controller.windows_switch_script("linux")
+            script = self.controller.windows_switch_script("linux")
             owner = "dualboot-oscar"
+        donor = self.schedulers[DONOR_SIDE[target]]
         for _ in range(decision.num_nodes):
             jobid = donor.submit_switch_job(script, owner=owner)
             self._record(target, jobid)
 
     def _record(self, target_os: str, jobid: str) -> None:
-        now = self.pbs.sim.now
+        now = self.sim.now
         self.orders.append(
             SwitchOrderRecord(
                 order_id=self._next_order_id,
@@ -165,12 +166,12 @@ class SwitchOrders:
 
     # -- confirmation (node joined the target scheduler) ---------------------
 
-    def _on_pbs_node_event(self, event: str, hostname: str) -> None:
-        if event == self.pbs.join_event:
+    def _on_linux_node_event(self, event: str, hostname: str) -> None:
+        if event == self.schedulers["linux"].join_event:
             self._confirm("linux", hostname)
 
-    def _on_win_node_event(self, event: str, hostname: str) -> None:
-        if event == self.winhpc.join_event:
+    def _on_windows_node_event(self, event: str, hostname: str) -> None:
+        if event == self.schedulers["windows"].join_event:
             self._confirm("windows", hostname)
 
     def _confirm(self, target_os: str, hostname: str) -> None:
@@ -181,7 +182,7 @@ class SwitchOrders:
         for order in self.orders:
             if order.pending and order.target_os == target_os:
                 order.state = OrderState.CONFIRMED
-                order.resolved_at = self.pbs.sim.now
+                order.resolved_at = self.sim.now
                 order.node = hostname
                 self.orders_confirmed += 1
                 if self.tracer is not None:
@@ -213,18 +214,21 @@ class SwitchOrders:
         for order in self.orders:
             if not order.pending or str(order.jobid) not in targets:
                 continue
-            order.state = OrderState.FAILED
-            order.resolved_at = self.pbs.sim.now
-            self.orders_failed += 1
+            self._fail(order, self.sim.now, cause)
             aborted += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "order.failed",
-                    cause=cause,
-                    order_id=order.order_id,
-                    target_os=order.target_os,
-                )
         return aborted
+
+    def _fail(self, order: SwitchOrderRecord, now: float, cause: str) -> None:
+        order.state = OrderState.FAILED
+        order.resolved_at = now
+        self.orders_failed += 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                "order.failed",
+                cause=cause,
+                order_id=order.order_id,
+                target_os=order.target_os,
+            )
 
     # -- watchdog ------------------------------------------------------------
 
@@ -235,23 +239,11 @@ class SwitchOrders:
         for order in self.orders:
             if not order.pending or now < order.deadline:
                 continue
-            order.state = OrderState.FAILED
-            order.resolved_at = now
-            self.orders_failed += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "order.failed",
-                    cause="watchdog deadline passed",
-                    order_id=order.order_id,
-                    target_os=order.target_os,
-                )
-            self._cancel_stale_job(order)
+            self._fail(order, now, "watchdog deadline passed")
+            donor = self.schedulers[DONOR_SIDE[order.target_os]]
+            donor.cancel_if_queued(order.jobid)
             expired.append(order)
         return expired
-
-    def _cancel_stale_job(self, order: SwitchOrderRecord) -> None:
-        donor = self.pbs if order.target_os == "windows" else self.winhpc
-        donor.cancel_if_queued(order.jobid)
 
 
 class LinuxCommunicator:
@@ -307,18 +299,18 @@ class LinuxCommunicator:
     def views(self, windows_state: QueueStateMessage):
         """Assemble both sides' ClusterViews from live scheduler state."""
         linux_report = self.detector.check()
-        pbs = self.orders.pbs
-        win = self.orders.winhpc
+        linux = self.orders.schedulers["linux"]
+        windows = self.orders.schedulers["windows"]
         linux_view = ClusterView(
             state=linux_report.message,
-            idle_nodes=pbs.idle_node_count(),
-            total_nodes=pbs.online_node_count(),
+            idle_nodes=linux.idle_node_count(),
+            total_nodes=linux.online_node_count(),
             pending_switches=self.orders.in_flight("linux"),
         )
         windows_view = ClusterView(
             state=windows_state,
-            idle_nodes=win.idle_node_count(),
-            total_nodes=win.online_node_count(),
+            idle_nodes=windows.idle_node_count(),
+            total_nodes=windows.online_node_count(),
             pending_switches=self.orders.in_flight("windows"),
         )
         return linux_report, linux_view, windows_view
@@ -330,14 +322,18 @@ class LinuxCommunicator:
         the daemon loop (:meth:`run`), which counts-and-discards instead.
         """
         windows_state = QueueStateMessage.decode(windows_wire)
+        self._receive(windows_state, windows_wire, via="direct")
+        return self._evaluate(windows_state, windows_wire)
+
+    def _receive(
+        self, windows_state: QueueStateMessage, wire: str, **fields: Any
+    ) -> None:
+        """Timestamp a valid Windows report as the latest known state."""
         self.last_windows_state = windows_state
-        self.last_windows_wire = windows_wire
+        self.last_windows_wire = wire
         self.last_report_at = self.sim.now
         if self.tracer is not None:
-            self.tracer.emit(
-                "comm.report_received", wire=windows_wire, via="direct"
-            )
-        return self._evaluate(windows_state, windows_wire)
+            self.tracer.emit("comm.report_received", wire=wire, **fields)
 
     def _evaluate(
         self, windows_state: QueueStateMessage, windows_wire: str
@@ -389,16 +385,7 @@ class LinuxCommunicator:
                 )
             return None
         self.reports_received += 1
-        self.last_windows_state = windows_state
-        self.last_windows_wire = wire
-        self.last_report_at = self.sim.now
-        if self.tracer is not None:
-            self.tracer.emit(
-                "comm.report_received",
-                wire=wire,
-                via="network",
-                src=message.src,
-            )
+        self._receive(windows_state, wire, via="network", src=message.src)
         if self.host is not None and self.ack_port is not None:
             self.host.send(message.src, self.ack_port, ("ack", wire))
             self.acks_sent += 1

@@ -21,31 +21,30 @@ state across a restart, which is exactly why the staleness guard exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 from repro.core.communicator import (
-    DEFAULT_ORDER_TIMEOUT_S,
     LinuxCommunicator,
     SwitchOrders,
     WindowsCommunicator,
 )
+from repro.core.config import MiddlewareConfig
 from repro.core.controller import BootController
 from repro.core.policy import SwitchPolicy
 from repro.errors import MiddlewareError
 from repro.hardware.cluster import Cluster
 from repro.netsvc.network import Host
 from repro.sched import create_detector
-from repro.simkernel import MINUTE, Process, Simulator, Timeout
-from repro.simkernel.rng import RngStreams
+from repro.simkernel import Process, Simulator, Timeout
 
 
-def _ticker_loop(linux: LinuxCommunicator, cycle_s: float):
+def _ticker_loop(linux: LinuxCommunicator):
     """Heartbeat offset half a cycle from the report cadence, so each tick
     sees either a fresh report (no-op) or a genuinely missing one."""
-    yield Timeout(cycle_s / 2)
+    yield Timeout(linux.cycle_s / 2)
     while True:
         linux.tick()
-        yield Timeout(cycle_s)
+        yield Timeout(linux.cycle_s)
 
 
 def _watchdog_loop(sim: Simulator, orders: SwitchOrders, poll_s: float):
@@ -56,19 +55,18 @@ def _watchdog_loop(sim: Simulator, orders: SwitchOrders, poll_s: float):
 
 @dataclass
 class DualBootDaemons:
-    """Handles to the running control plane."""
+    """Handles to the running control plane (built by :func:`start_daemons`)."""
 
     linux: LinuxCommunicator
     windows: WindowsCommunicator
     linux_process: Process
     windows_process: Process
+    ticker_process: Process
+    watchdog_process: Process
     orders: SwitchOrders
-    sim: Optional[Simulator] = None
-    linux_host: Optional[Host] = None
-    windows_host: Optional[Host] = None
-    ticker_process: Optional[Process] = None
-    watchdog_process: Optional[Process] = None
-    cycle_s: float = 10 * MINUTE
+    sim: Simulator
+    linux_host: Host
+    windows_host: Host
     _crashed: Set[str] = field(default_factory=set)
     tracer: Optional[Any] = None
 
@@ -80,146 +78,116 @@ class DualBootDaemons:
             self.ticker_process,
             self.watchdog_process,
         ):
-            if process is not None:
-                process.kill()
+            process.kill()
 
     # -- crash / restart (fault injection entry points) ----------------------
 
+    def _host(self, side: str) -> Host:
+        if side == "linux":
+            return self.linux_host
+        if side == "windows":
+            return self.windows_host
+        raise MiddlewareError(f"unknown head side {side!r}")
+
     def crash(self, side: str) -> None:
         """Kill one head node's daemon(s) and take its host off the network."""
-        self._check_side(side)
+        host = self._host(side)
         if side in self._crashed:
             return
         self._crashed.add(side)
         if self.tracer is not None:
-            host = self.linux_host if side == "linux" else self.windows_host
-            self.tracer.emit(
-                "daemon.crash",
-                node=host.name if host is not None else None,
-                side=side,
-            )
+            self.tracer.emit("daemon.crash", node=host.name, side=side)
         if side == "linux":
             self.linux_process.kill()
-            if self.ticker_process is not None:
-                self.ticker_process.kill()
-            if self.linux_host is not None:
-                self.linux_host.online = False
+            self.ticker_process.kill()
         else:
             self.windows_process.kill()
-            if self.windows_host is not None:
-                self.windows_host.online = False
+        host.online = False
 
     def restart(self, side: str) -> None:
         """Bring a crashed daemon back (communicator state persists — the
         staleness guard covers whatever it slept through)."""
-        self._check_side(side)
+        host = self._host(side)
         if side not in self._crashed:
             return
         self._crashed.discard(side)
-        if self.sim is None:
-            raise MiddlewareError("daemons were started without a simulator handle")
         if self.tracer is not None:
-            host = self.linux_host if side == "linux" else self.windows_host
-            self.tracer.emit(
-                "daemon.restart",
-                node=host.name if host is not None else None,
-                side=side,
-            )
+            self.tracer.emit("daemon.restart", node=host.name, side=side)
+        host.online = True
         if side == "linux":
-            if self.linux_host is not None:
-                self.linux_host.online = True
             self.linux_process = self.sim.spawn(
                 self.linux.run(), name="daemon:linux"
             )
-            if self.ticker_process is not None:
-                self.ticker_process = self.sim.spawn(
-                    _ticker_loop(self.linux, self.cycle_s), name="daemon:ticker"
-                )
+            self.ticker_process = self.sim.spawn(
+                _ticker_loop(self.linux), name="daemon:ticker"
+            )
         else:
-            if self.windows_host is not None:
-                self.windows_host.online = True
             self.windows_process = self.sim.spawn(
                 self.windows.run(), name="daemon:windows"
             )
 
-    @staticmethod
-    def _check_side(side: str) -> None:
-        if side not in ("linux", "windows"):
-            raise MiddlewareError(f"unknown head side {side!r}")
-
 
 def start_daemons(
     cluster: Cluster,
-    pbs: Any,
-    winhpc: Any,
+    schedulers: Dict[str, Any],
     controller: BootController,
     policy: SwitchPolicy,
-    cycle_s: float,
-    port: int,
-    pbs_user: str = "sliang",
-    cores_per_node: Optional[int] = None,
-    eager_detectors: bool = False,
-    acks: bool = True,
-    max_retries: int = 2,
-    retry_base_s: float = 5.0,
-    ack_timeout_s: float = 10.0,
-    staleness_cycles: int = 3,
-    order_timeout_s: float = DEFAULT_ORDER_TIMEOUT_S,
-    watchdog_poll_s: float = MINUTE,
-    rng: Optional[RngStreams] = None,
+    config: MiddlewareConfig,
     tracer: Optional[Any] = None,
 ) -> DualBootDaemons:
-    """Stand up the control plane and return its handles."""
+    """Stand up the control plane and return its handles.
+
+    *schedulers* maps each OS side to its personality; every daemon knob
+    comes from *config*.
+    """
     sim = cluster.sim
-    if cores_per_node is None:
-        cores_per_node = (
-            cluster.compute_nodes[0].cores if cluster.compute_nodes else 4
-        )
-    if rng is None:
-        rng = cluster.rng
+    cycle_s = config.check_cycle_s
+    port = config.communicator_port
+    acks = config.comm_acks
+    linux_head, windows_head = cluster.linux_head, cluster.windows_head
 
     orders = SwitchOrders(
-        pbs, winhpc, controller, pbs_user=pbs_user,
-        order_timeout_s=order_timeout_s,
+        schedulers, controller, pbs_user=config.pbs_user,
+        order_timeout_s=config.order_timeout_s,
         tracer=tracer,
     )
 
-    listener = cluster.linux_head.host.listen(port)
-    ack_listener = (
-        cluster.windows_head.host.listen(port + 1) if acks else None
-    )
+    listener = linux_head.host.listen(port)
+    ack_listener = windows_head.host.listen(port + 1) if acks else None
     linux_daemon = LinuxCommunicator(
         sim=sim,
         listener=listener,
         detector=create_detector(
-            pbs, eager=eager_detectors,
-            tracer=tracer, node_name=cluster.linux_head.name, user=pbs_user,
+            schedulers["linux"], eager=config.eager_detectors,
+            tracer=tracer, node_name=linux_head.name, user=config.pbs_user,
         ),
         policy=policy,
         orders=orders,
-        cores_per_node=cores_per_node,
-        host=cluster.linux_head.host if acks else None,
+        cores_per_node=(
+            cluster.compute_nodes[0].cores if cluster.compute_nodes else 4
+        ),
+        host=linux_head.host if acks else None,
         ack_port=port + 1 if acks else None,
         cycle_s=cycle_s,
-        staleness_cycles=staleness_cycles,
+        staleness_cycles=config.staleness_cycles,
         tracer=tracer,
     )
 
     windows_daemon = WindowsCommunicator(
         sim=sim,
-        host=cluster.windows_head.host,
+        host=windows_head.host,
         detector=create_detector(
-            winhpc, eager=eager_detectors,
-            tracer=tracer, node_name=cluster.windows_head.name,
+            schedulers["windows"], eager=config.eager_detectors,
+            tracer=tracer, node_name=windows_head.name,
         ),
-        linux_head=cluster.linux_head.name,
+        linux_head=linux_head.name,
         port=port,
         cycle_s=cycle_s,
         ack_listener=ack_listener,
-        max_retries=max_retries,
-        retry_base_s=retry_base_s,
-        ack_timeout_s=ack_timeout_s,
-        rng=rng.spawn("communicator") if rng is not None else None,
+        max_retries=config.comm_max_retries,
+        retry_base_s=config.comm_retry_base_s,
+        ack_timeout_s=config.comm_ack_timeout_s,
+        rng=cluster.rng.spawn("communicator"),
         tracer=tracer,
     )
 
@@ -228,16 +196,14 @@ def start_daemons(
         windows=windows_daemon,
         linux_process=sim.spawn(linux_daemon.run(), name="daemon:linux"),
         windows_process=sim.spawn(windows_daemon.run(), name="daemon:windows"),
+        ticker_process=sim.spawn(_ticker_loop(linux_daemon), name="daemon:ticker"),
+        watchdog_process=sim.spawn(
+            _watchdog_loop(sim, orders, config.watchdog_poll_s),
+            name="daemon:watchdog",
+        ),
         orders=orders,
         sim=sim,
-        linux_host=cluster.linux_head.host,
-        windows_host=cluster.windows_head.host,
-        ticker_process=sim.spawn(
-            _ticker_loop(linux_daemon, cycle_s), name="daemon:ticker"
-        ),
-        watchdog_process=sim.spawn(
-            _watchdog_loop(sim, orders, watchdog_poll_s), name="daemon:watchdog"
-        ),
-        cycle_s=cycle_s,
+        linux_host=linux_head.host,
+        windows_host=windows_head.host,
         tracer=tracer,
     )

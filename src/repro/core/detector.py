@@ -4,15 +4,17 @@ Definition from the paper: "we define a scheduler is **stuck** when the
 scheduler has no job running and several jobs are queuing.  The detector
 reads how many compute nodes the first queuing job needs."
 
-Two implementations, faithful to how each side observes its scheduler:
+One check loop, :class:`QueueDetector`, under per-scheduler scans that
+stay faithful to how each side observes its scheduler:
 
 * :class:`PbsDetector` **parses the rendered text** of ``qstat -f``
   (because "PBS does not provide APIs ... Several Perl programs had been
   written for parsing the output of PBS commands");
 * :class:`WinHpcDetector` queries the SDK facade, as the original C#
-  tool did.
+  tool did;
+* :class:`~repro.slurm.detector.SlurmDetector` parses ``squeue`` text.
 
-Both produce the same :class:`DetectorReport`: the Figure-5 wire message
+All produce the same :class:`DetectorReport`: the Figure-5 wire message
 plus the debug lines of Figure 6.
 """
 
@@ -24,13 +26,13 @@ from typing import Any, List, Optional, Tuple
 
 from repro.core.wire import QueueStateMessage
 from repro.pbs.commands import PbsCommands
+from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG
 from repro.winhpc.job import WinJobState, WinJobUnit
 from repro.winhpc.sdk import HpcSchedulerConnection
 
-#: The middleware's own switch jobs must not count as demand, or each
-#: switch would trigger another switch (positive feedback).
-SWITCH_TAG = "os-switch"
-SWITCH_JOB_NAME = "release_1_node"
+#: A scan's running-detail lines, queued count and head job ``(jobid, cpus)``.
+#: Switch jobs never count as demand, or each switch would trigger another.
+Scan = Tuple[List[str], int, Optional[Tuple[str, int]]]
 
 
 @dataclass
@@ -49,6 +51,77 @@ class DetectorReport:
     def text(self) -> str:
         """The full detector stdout (first line is the wire string)."""
         return "\n".join([self.wire] + self.debug)
+
+
+# -- the shared check loop ----------------------------------------------------
+
+
+class QueueDetector:
+    """One ``checkqueue`` loop shared by every scheduler personality.
+
+    A subclass supplies only :attr:`side`, :meth:`_epoch` (its
+    scheduler's ``mutation_epoch``) and :meth:`_scan`.  Reports are
+    cached keyed on the epoch: an idle control cycle (no submit, start,
+    finish or node change since the last check) re-serves the report in
+    O(1) instead of re-rendering and re-parsing the listing.  The
+    ``detector.check`` trace event is emitted on every call, cached or
+    not — caching must not change the observable trace.
+
+    ``eager=True`` is the §V extension: the CPU field (positions 1–4 of
+    the wire, "default 0000") is filled with the head queued job's needs
+    even while other jobs run, so an :class:`~repro.core.policy.EagerPolicy`
+    can react to backlog without waiting for the queue to empty.  The
+    wire format itself is unchanged.
+    """
+
+    #: which cluster side this detector reports for
+    side: str
+
+    def __init__(
+        self,
+        eager: bool = False,
+        tracer: Optional[Any] = None,
+        node_name: Optional[str] = None,
+    ) -> None:
+        self.eager = eager
+        self.tracer = tracer
+        self.node_name = node_name
+        #: (mutation epoch, report) of the last check
+        self._cache: Optional[Tuple[int, DetectorReport]] = None
+
+    def invalidate(self) -> None:
+        """Drop the cached report (benchmarks use this to time cold checks)."""
+        self._cache = None
+
+    def _epoch(self) -> int:
+        raise NotImplementedError
+
+    def _scan(self) -> Scan:
+        raise NotImplementedError
+
+    def check(self) -> DetectorReport:
+        """One detector run over the scheduler's current queue."""
+        epoch = self._epoch()
+        cached = self._cache
+        if cached is not None and cached[0] == epoch:
+            report = cached[1]
+        else:
+            running_detail, queued, first_queued = self._scan()
+            report = _build_report(
+                running_detail, queued, first_queued, self.eager
+            )
+            self._cache = (epoch, report)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "detector.check",
+                node=self.node_name,
+                side=self.side,
+                wire=report.wire,
+                running=report.running,
+                queued=report.queued,
+                stuck=report.message.stuck,
+            )
+        return report
 
 
 # -- PBS side (text parsing) ---------------------------------------------------
@@ -105,15 +178,10 @@ def _required_cpus(attributes: dict) -> int:
     return nodes * ppn
 
 
-class PbsDetector:
-    """The OSCAR-side ``checkqueue.pl``.
+class PbsDetector(QueueDetector):
+    """The OSCAR-side ``checkqueue.pl``: parses ``qstat -f`` text."""
 
-    ``eager=True`` is the §V extension: the CPU field (positions 1–4 of
-    the wire, "default 0000") is filled with the head queued job's needs
-    even while other jobs run, so an :class:`~repro.core.policy.EagerPolicy`
-    can react to backlog without waiting for the queue to empty.  The
-    wire format itself is unchanged.
-    """
+    side = "linux"
 
     def __init__(
         self,
@@ -122,71 +190,39 @@ class PbsDetector:
         tracer: Optional[Any] = None,
         node_name: Optional[str] = None,
     ) -> None:
+        super().__init__(eager, tracer, node_name)
         self.commands = commands
-        self.eager = eager
-        self.tracer = tracer
-        self.node_name = node_name
-        #: (mutation epoch, report) of the last check — an unchanged epoch
-        #: means byte-identical qstat text, hence an identical report.
-        self._cache: Optional[Tuple[int, DetectorReport]] = None
         #: stanza text -> parsed attributes, shared across checks (jobs
         #: rarely change between epochs, their stanzas even less so)
         self._stanza_cache: dict = {}
 
-    def invalidate(self) -> None:
-        """Drop the cached report (benchmarks use this to time cold checks)."""
-        self._cache = None
+    def _epoch(self) -> int:
+        # an unchanged epoch means byte-identical qstat text
+        return self.commands.server.mutation_epoch
 
-    def check(self) -> DetectorReport:
-        """One detector run over the current ``qstat -f`` output.
-
-        Reports are cached keyed on the server's mutation epoch: an idle
-        control cycle (no submit/start/finish/node change since the last
-        check) re-serves the parsed report in O(1) instead of re-rendering
-        and re-regex-parsing the whole listing.  The ``detector.check``
-        trace event is still emitted on every call — caching must not
-        change the observable trace.
-        """
-        epoch = self.commands.server.mutation_epoch
-        cached = self._cache
-        if cached is not None and cached[0] == epoch:
-            report = cached[1]
-            _trace_check(self, "linux", report)
-            return report
+    def _scan(self) -> Scan:
         jobs = parse_qstat_full(self.commands.qstat_f(), self._stanza_cache)
         workload = [j for j in jobs if j.get("Job_Name") != SWITCH_JOB_NAME]
         running = [j for j in workload if j.get("job_state") == "R"]
         queued = [j for j in workload if j.get("job_state") == "Q"]
-        report = _build_report(
-            eager=self.eager,
-            running=len(running),
-            queued=len(queued),
-            first_queued=(
-                (queued[0]["Job_Id"], _required_cpus(queued[0]))
-                if queued
-                else None
-            ),
-            running_detail=[
-                f"{j['Job_Id']}\n"
-                f"        Job_Name={j.get('Job_Name', '?')}\n"
-                f"        Job_Ownner={j.get('Job_Owner', '?')}\n"
-                f"        state=R"
-                for j in running
-            ],
-        )
-        self._cache = (epoch, report)
-        _trace_check(self, "linux", report)
-        return report
+        head = (queued[0]["Job_Id"], _required_cpus(queued[0])) if queued else None
+        detail = [
+            f"{j['Job_Id']}\n"
+            f"        Job_Name={j.get('Job_Name', '?')}\n"
+            f"        Job_Ownner={j.get('Job_Owner', '?')}\n"
+            f"        state=R"
+            for j in running
+        ]
+        return detail, len(queued), head
 
 
 # -- Windows side (SDK) -------------------------------------------------------
 
 
-class WinHpcDetector:
-    """The Windows-side queue fetcher (via the SDK facade).
+class WinHpcDetector(QueueDetector):
+    """The Windows-side queue fetcher (via the SDK facade)."""
 
-    ``eager`` as in :class:`PbsDetector`.
-    """
+    side = "windows"
 
     def __init__(
         self,
@@ -195,30 +231,14 @@ class WinHpcDetector:
         tracer: Optional[Any] = None,
         node_name: Optional[str] = None,
     ) -> None:
+        super().__init__(eager, tracer, node_name)
         self.connection = connection
-        self.eager = eager
-        self.tracer = tracer
-        self.node_name = node_name
-        #: (mutation epoch, report) of the last check — see PbsDetector.
-        self._cache: Optional[Tuple[int, DetectorReport]] = None
-
-    def invalidate(self) -> None:
-        """Drop the cached report (benchmarks use this to time cold checks)."""
-        self._cache = None
 
     # reprolint: disable=PERF002 -- connect() is one-shot wiring before the sim starts; no check() can observe the swap
-    def check(self) -> DetectorReport:
-        """One detector run over the SDK's job lists.
+    def _epoch(self) -> int:
+        return self.connection.mutation_epoch
 
-        Epoch-cached like :meth:`PbsDetector.check`; the trace event is
-        emitted on every call either way.
-        """
-        epoch = self.connection.mutation_epoch
-        cached = self._cache
-        if cached is not None and cached[0] == epoch:
-            report = cached[1]
-            _trace_check(self, "windows", report)
-            return report
+    def _scan(self) -> Scan:
         running = [
             j
             for j in self.connection.get_job_list(WinJobState.RUNNING)
@@ -238,42 +258,19 @@ class WinHpcDetector:
                 # walked the whole node table on every check.
                 cores = head.amount * self.connection.max_node_cores()
             first = (str(head.job_id), cores)
-        report = _build_report(
-            running=len(running),
-            queued=len(queued),
-            first_queued=first,
-            running_detail=[f"{j.job_id} {j.name} Running" for j in running],
-            eager=self.eager,
-        )
-        self._cache = (epoch, report)
-        _trace_check(self, "windows", report)
-        return report
+        return [f"{j.job_id} {j.name} Running" for j in running], len(queued), first
 
 
 # -- shared report assembly ---------------------------------------------------
 
 
-def _trace_check(detector: Any, side: str, report: DetectorReport) -> None:
-    if detector.tracer is None:
-        return
-    detector.tracer.emit(
-        "detector.check",
-        node=detector.node_name,
-        side=side,
-        wire=report.wire,
-        running=report.running,
-        queued=report.queued,
-        stuck=report.message.stuck,
-    )
-
-
 def _build_report(
-    running: int,
+    running_detail: List[str],
     queued: int,
     first_queued: Optional[Tuple[str, int]],
-    running_detail: List[str],
-    eager: bool = False,
+    eager: bool,
 ) -> DetectorReport:
+    running = len(running_detail)
     stuck = running == 0 and queued > 0
     if stuck:
         jobid, cpus = first_queued

@@ -26,67 +26,42 @@ Every action (and every hold) is an ``elastic.decision`` trace event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.core.detector import SWITCH_TAG
-from repro.errors import ConfigurationError
+from repro.core.config import ElasticConfig
 from repro.hardware.cluster import Cluster
 from repro.hardware.node import ComputeNode, NodeState
+from repro.sched.protocol import SWITCH_TAG
 from repro.simkernel import Simulator, Timeout
 
 #: the two scheduler sides, in deterministic evaluation order
 SIDES = ("linux", "windows")
 
 
-@dataclass(frozen=True)
-class ElasticityPolicy:
-    """Knobs of the power-aware loop (see ``MiddlewareConfig`` defaults)."""
-
-    #: never suspend below this many UP nodes per side
-    min_online: int = 1
-    #: consecutive surplus evaluations before the first suspend
-    hysteresis_cycles: int = 2
-    #: idle nodes kept warm beyond the floor (absorb small arrivals
-    #: without paying a resume)
-    idle_surplus: int = 1
-    #: per-side, per-evaluation action budget
-    max_actions_per_cycle: int = 2
-
-    def __post_init__(self) -> None:
-        if self.min_online < 0:
-            raise ConfigurationError("min_online must be >= 0")
-        if self.hysteresis_cycles < 1:
-            raise ConfigurationError("hysteresis_cycles must be >= 1")
-        if self.idle_surplus < 0:
-            raise ConfigurationError("idle_surplus must be >= 0")
-        if self.max_actions_per_cycle < 1:
-            raise ConfigurationError("max_actions_per_cycle must be >= 1")
-
-
 class ElasticityManager:
-    """Periodic suspend/resume/provision decisions over both node pools."""
+    """Periodic suspend/resume/provision decisions over both node pools.
+
+    *schedulers* maps each OS side to its personality; the knobs come
+    from *config* (``enabled`` is the middleware's switch, not read here).
+    *health* is ``None`` when heartbeat monitoring is off.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         cluster: Cluster,
-        pbs: Any,
-        winhpc: Any,
-        policy: Optional[ElasticityPolicy] = None,
-        cycle_s: float = 300.0,
-        orders: Any = None,
-        health: Any = None,
-        linux_comm: Any = None,
-        controller: Any = None,
+        schedulers: Dict[str, Any],
+        config: ElasticConfig,
+        orders: Any,
+        health: Any,
+        linux_comm: Any,
+        controller: Any,
         tracer: Any = None,
     ) -> None:
         self.sim = sim
         self.cluster = cluster
-        self.pbs = pbs
-        self.winhpc = winhpc
-        self.policy = policy if policy is not None else ElasticityPolicy()
-        self.cycle_s = cycle_s
+        self.schedulers = schedulers
+        self.config = config
         self.orders = orders
         self.health = health
         self.linux_comm = linux_comm
@@ -112,7 +87,7 @@ class ElasticityManager:
 
     def _loop(self) -> Any:
         while True:
-            yield Timeout(self.cycle_s)
+            yield Timeout(self.config.cycle_s)
             self.evaluate()
 
     # -- evaluation ----------------------------------------------------------
@@ -136,39 +111,37 @@ class ElasticityManager:
         idle = self._idle_nodes(side)
         online = self._online_count(side)
         headroom = min(
-            len(idle) - self.policy.idle_surplus,
-            online - self.policy.min_online,
+            len(idle) - self.config.idle_surplus,
+            online - self.config.min_online,
         )
         if headroom <= 0:
             self._surplus_streak[side] = 0
             return
         self._surplus_streak[side] += 1
-        if self._surplus_streak[side] < self.policy.hysteresis_cycles:
+        if self._surplus_streak[side] < self.config.hysteresis_cycles:
             return
         self._surplus_streak[side] = 0
         # park the highest-named idle nodes (mirrors the switch policy's
         # donor order, so both mechanisms shrink the same end of the pool)
         victims = sorted(idle, key=lambda n: n.name, reverse=True)
-        for node in victims[: min(headroom, self.policy.max_actions_per_cycle)]:
+        for node in victims[: min(headroom, self.config.max_actions)]:
             self._cordon(side, node.name)
             node.suspend()
             self.suspends += 1
             self._decide(side, "suspend", node=node.name, cause="idle surplus")
 
     def _wake(self, side: str, queued: int) -> None:
-        budget = self.policy.max_actions_per_cycle
+        budget = self.config.max_actions
         resumable = sorted(
             (
                 n
-                for n in self.cluster.compute_nodes
-                if n.state is NodeState.SUSPENDED
-                and n.suspended_os_name == side
+                for n in self.cluster.suspended_nodes()
+                if n.suspended_os_name == side
             ),
             key=lambda n: n.name,
         )
         for node in resumable[:budget]:
-            if self.orders is not None:
-                self.orders.expect_rejoin(node.name)
+            self.orders.expect_rejoin(node.name)
             node.resume()
             self.resumes += 1
             budget -= 1
@@ -178,16 +151,10 @@ class ElasticityManager:
         if budget <= 0 or not self._boots_land_on(side):
             return
         burst = sorted(
-            (
-                n
-                for n in self.cluster.compute_nodes
-                if n.state is NodeState.DEPROVISIONED
-            ),
-            key=lambda n: n.name,
+            self.cluster.deprovisioned_nodes(), key=lambda n: n.name
         )
         for node in burst[:budget]:
-            if self.orders is not None:
-                self.orders.expect_rejoin(node.name)
+            self.orders.expect_rejoin(node.name)
             node.provision()
             self.provisions += 1
             self._decide(
@@ -200,8 +167,6 @@ class ElasticityManager:
         """The Linux head's view of the Windows queue is only as fresh as
         the last report; past the staleness cap, acting on it repeats the
         bug PR 1's staleness guard fixed."""
-        if self.linux_comm is None:
-            return False
         cap = self.linux_comm.staleness_cap_s
         if cap is None:
             return False
@@ -211,9 +176,10 @@ class ElasticityManager:
         return self.sim.now - last > cap
 
     def _queued_workload(self, side: str) -> int:
-        scheduler = self.pbs if side == "linux" else self.winhpc
         return sum(
-            1 for job in scheduler.queued_jobs() if job.tag != SWITCH_TAG
+            1
+            for job in self.schedulers[side].queued_jobs()
+            if job.tag != SWITCH_TAG
         )
 
     def _online_count(self, side: str) -> int:
@@ -225,7 +191,7 @@ class ElasticityManager:
 
     def _idle_nodes(self, side: str) -> List[ComputeNode]:
         """Healthy, schedulable, zero-allocation UP nodes of *side*."""
-        scheduler = self.pbs if side == "linux" else self.winhpc
+        scheduler = self.schedulers[side]
         out: List[ComputeNode] = []
         for node in self.cluster.compute_nodes:
             if node.state is not NodeState.UP or node.os_name != side:
@@ -248,18 +214,16 @@ class ElasticityManager:
     def _boots_land_on(self, side: str) -> bool:
         """Whether a cold boot right now comes up on *side* — provisioning
         is only useful when the boot flag points at the pressured OS."""
-        if self.controller is None:
-            return False
-        if not getattr(self.controller, "has_cluster_flag", False):
-            return False
-        return bool(self.controller.current_target() == side)
+        return bool(
+            self.controller.has_cluster_flag
+            and self.controller.current_target() == side
+        )
 
     def _cordon(self, side: str, hostname: str) -> None:
         """Stop new placements before the orderly shutdown.  No uncordon
         bookkeeping is needed: the schedulers' rejoin paths clear the
         offline/draining mark unconditionally."""
-        scheduler = self.pbs if side == "linux" else self.winhpc
-        scheduler.cordon_node(hostname)
+        self.schedulers[side].cordon_node(hostname)
 
     def _decide(
         self,

@@ -33,7 +33,7 @@ from repro.core.controller_v1 import ControllerV1, redirect_menu_lst
 from repro.core.controller_v2 import ControllerV2
 from repro.core.bootcontrol import register_bootcontrol
 from repro.core.daemon import DualBootDaemons, start_daemons
-from repro.core.elasticity import ElasticityManager, ElasticityPolicy
+from repro.core.elasticity import ElasticityManager
 from repro.core.policy import FcfsPolicy, SwitchPolicy
 from repro.energy import EnergyMeter
 from repro.errors import MiddlewareError
@@ -128,10 +128,6 @@ class DualBootOscar:
         return self.schedulers["windows"]
 
     @property
-    def pbs_commands(self) -> Any:
-        return self.pbs.make_commands(default_user=self.config.pbs_user)
-
-    @property
     def version(self) -> int:
         return self.config.version
 
@@ -204,38 +200,15 @@ class DualBootOscar:
             self.health.start()
         self._initial_power_on()
         self.daemons = start_daemons(
-            cluster=self.cluster,
-            pbs=self.pbs,
-            winhpc=self.winhpc,
-            controller=self.controller,
-            policy=self.policy,
-            cycle_s=config.check_cycle_s,
-            port=config.communicator_port,
-            pbs_user=config.pbs_user,
-            eager_detectors=config.eager_detectors,
-            acks=config.comm_acks,
-            max_retries=config.comm_max_retries,
-            retry_base_s=config.comm_retry_base_s,
-            ack_timeout_s=config.comm_ack_timeout_s,
-            staleness_cycles=config.staleness_cycles,
-            order_timeout_s=config.order_timeout_s,
-            watchdog_poll_s=config.watchdog_poll_s,
-            rng=self.cluster.rng,
-            tracer=self.tracer,
+            self.cluster, self.schedulers, self.controller, self.policy,
+            config, self.tracer,
         )
         if config.elastic.enabled:
             self.elasticity = ElasticityManager(
                 sim=self.sim,
                 cluster=self.cluster,
-                pbs=self.pbs,
-                winhpc=self.winhpc,
-                policy=ElasticityPolicy(
-                    min_online=config.elastic.min_online,
-                    hysteresis_cycles=config.elastic.hysteresis_cycles,
-                    idle_surplus=config.elastic.idle_surplus,
-                    max_actions_per_cycle=config.elastic.max_actions,
-                ),
-                cycle_s=config.elastic.cycle_s,
+                schedulers=self.schedulers,
+                config=config.elastic,
                 orders=self.daemons.orders,
                 health=self.health,
                 linux_comm=self.daemons.linux,

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.hardware.node import ComputeNode
 from repro.oslayer.base import OSInstance
+from repro.sched.protocol import SWITCH_TAG
 
 
 @dataclass
@@ -118,7 +119,7 @@ class ClusterRecorder:
             )
             self._job_index[key] = record
             self.jobs.append(record)
-            if record.tag != "os-switch":
+            if record.tag != SWITCH_TAG:
                 self._outstanding_workload += 1
         elif key in self._job_index:
             record = self._job_index[key]
@@ -126,7 +127,7 @@ class ClusterRecorder:
                 record.start_time = job.start_time
                 record.cores = job.cores_running()
             elif event == "finished":
-                if record.end_time is None and record.tag != "os-switch":
+                if record.end_time is None and record.tag != SWITCH_TAG:
                     self._outstanding_workload -= 1
                 record.end_time = job.end_time
                 record.final_state = job.state.value
@@ -141,7 +142,7 @@ class ClusterRecorder:
 
     # -- selections --------------------------------------------------------------
 
-    def jobs_for(self, scheduler: str, exclude_tag: str = "os-switch") -> List[JobRecord]:
+    def jobs_for(self, scheduler: str, exclude_tag: str = SWITCH_TAG) -> List[JobRecord]:
         """Workload jobs on one scheduler (switch jobs excluded by default)."""
         return [
             j
@@ -149,7 +150,7 @@ class ClusterRecorder:
             if j.scheduler == scheduler and (not exclude_tag or j.tag != exclude_tag)
         ]
 
-    def workload_jobs(self, exclude_tag: str = "os-switch") -> List[JobRecord]:
+    def workload_jobs(self, exclude_tag: str = SWITCH_TAG) -> List[JobRecord]:
         return [j for j in self.jobs if not exclude_tag or j.tag != exclude_tag]
 
     def outstanding_workload(self) -> int:

@@ -162,9 +162,6 @@ class PbsServer(SchedulerCore):
 
     # -- queries ----------------------------------------------------------------
 
-    def active_jobs(self) -> List[PbsJob]:
-        return self.queued_jobs() + self.running_jobs()
-
     def active_jobs_by_seq(self) -> List[PbsJob]:
         """All non-completed jobs in submission (sequence-number) order.
 

@@ -14,6 +14,7 @@ from repro.sched.factory import (
     create_scheduler,
 )
 from repro.sched.protocol import (
+    SWITCH_JOB_NAME,
     SWITCH_TAG,
     JobRequest,
     SchedulerPersonality,
@@ -21,6 +22,7 @@ from repro.sched.protocol import (
 
 __all__ = [
     "SCHEDULER_KINDS",
+    "SWITCH_JOB_NAME",
     "SWITCH_TAG",
     "JobRequest",
     "SchedulerPersonality",

@@ -9,7 +9,7 @@ this module.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sched.protocol import SchedulerPersonality
@@ -59,34 +59,25 @@ def create_detector(
     text-parsing detector and this factory hides which one.
     """
     kind = personality.kind
+    options: Dict[str, Any] = {
+        "eager": eager, "tracer": tracer, "node_name": node_name,
+    }
     if kind == "pbs":
         from repro.core.detector import PbsDetector
 
-        return PbsDetector(
-            personality.make_commands(default_user=user),
-            eager=eager,
-            tracer=tracer,
-            node_name=node_name,
-        )
+        return PbsDetector(personality.make_commands(default_user=user), **options)
     if kind == "winhpc":
         from repro.core.detector import WinHpcDetector
         from repro.winhpc.sdk import HpcSchedulerConnection
 
         sdk = HpcSchedulerConnection()
         sdk.connect(personality)
-        return WinHpcDetector(
-            sdk, eager=eager, tracer=tracer, node_name=node_name
-        )
+        return WinHpcDetector(sdk, **options)
     if kind == "slurm":
         from repro.slurm.commands import SlurmCommands
         from repro.slurm.detector import SlurmDetector
 
-        return SlurmDetector(
-            SlurmCommands(personality, default_user=user),
-            eager=eager,
-            tracer=tracer,
-            node_name=node_name,
-        )
+        return SlurmDetector(SlurmCommands(personality, default_user=user), **options)
     raise ConfigurationError(
         f"no detector for scheduler kind {kind!r}"
     )

@@ -45,6 +45,9 @@ from typing import (
 #: such jobs from workload accounting and the detectors report them in
 #: a dedicated wire field.
 SWITCH_TAG = "os-switch"
+#: The conventional OS-release job name, shared by every personality so
+#: the text-parsing detectors filter the same workload.
+SWITCH_JOB_NAME = "release_1_node"
 
 
 @dataclass(frozen=True)

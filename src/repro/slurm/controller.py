@@ -31,7 +31,7 @@ from typing import Any, List, Optional, Tuple
 from repro.errors import SchedulerError
 from repro.pbs.scheduler import NodeIndex
 from repro.sched.core import SchedulerCore
-from repro.sched.protocol import SWITCH_TAG, JobRequest
+from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG, JobRequest
 from repro.simkernel import Simulator
 from repro.slurm.job import (
     PRIORITY_DEFAULT,
@@ -40,10 +40,6 @@ from repro.slurm.job import (
     SlurmJobState,
 )
 from repro.slurm.nodestate import SlurmNodeRecord
-
-#: The conventional OS-release job name (shared across personalities so
-#: every detector filters the same workload).
-SWITCH_JOB_NAME = "release_1_node"
 
 
 class SlurmController(SchedulerCore):

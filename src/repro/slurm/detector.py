@@ -3,21 +3,18 @@
 Like the PBS side, SLURM is observed by **parsing rendered text**
 (``squeue`` output) rather than querying controller objects — the
 detector sees exactly what a shell tool on the head node would see.
-It produces the same :class:`~repro.core.detector.DetectorReport` wire
-message as the other two detectors, so the communicator daemons are
+It is a :class:`~repro.core.detector.QueueDetector` that contributes
+only its epoch and its ``squeue`` scan, so it produces the same wire
+message as the other two detectors and the communicator daemons stay
 personality-blind.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
-from repro.core.detector import (
-    SWITCH_JOB_NAME,
-    DetectorReport,
-    _build_report,
-    _trace_check,
-)
+from repro.core.detector import QueueDetector, Scan
+from repro.sched.protocol import SWITCH_JOB_NAME
 from repro.slurm.commands import SlurmCommands
 
 
@@ -48,13 +45,11 @@ def parse_squeue(text: str) -> List[dict]:
     return jobs
 
 
-class SlurmDetector:
+class SlurmDetector(QueueDetector):
     """The ``checkqueue`` run against a SLURM personality.
 
-    ``eager`` as in :class:`~repro.core.detector.PbsDetector`; reports
-    are cached keyed on the controller's mutation epoch (the TIME column
-    squeue renders does not affect any report field, so an unchanged
-    epoch still means an identical report).
+    The TIME column squeue renders does not affect any report field, so
+    an unchanged controller epoch still means an identical report.
     """
 
     def __init__(
@@ -65,47 +60,21 @@ class SlurmDetector:
         node_name: Optional[str] = None,
         side: str = "windows",
     ) -> None:
+        super().__init__(eager, tracer, node_name)
         self.commands = commands
-        self.eager = eager
-        self.tracer = tracer
-        self.node_name = node_name
-        #: which cluster side this detector reports for (the SLURM
-        #: personality replaces either side's scheduler)
+        #: the SLURM personality can replace either side's scheduler
         self.side = side
-        #: (mutation epoch, report) of the last check — see PbsDetector.
-        self._cache: Optional[Tuple[int, DetectorReport]] = None
 
-    def invalidate(self) -> None:
-        """Drop the cached report (benchmarks use this to time cold checks)."""
-        self._cache = None
+    def _epoch(self) -> int:
+        return self.commands.controller.mutation_epoch
 
-    def check(self) -> DetectorReport:
-        """One detector run over the current ``squeue`` output.
-
-        Epoch-cached like the other detectors; the ``detector.check``
-        trace event is emitted on every call either way.
-        """
-        epoch = self.commands.controller.mutation_epoch
-        cached = self._cache
-        if cached is not None and cached[0] == epoch:
-            report = cached[1]
-            _trace_check(self, self.side, report)
-            return report
+    def _scan(self) -> Scan:
         jobs = parse_squeue(self.commands.squeue())
         workload = [j for j in jobs if j["name"] != SWITCH_JOB_NAME]
         running = [j for j in workload if j["state"] == "R"]
         queued = [j for j in workload if j["state"] == "PD"]
-        report = _build_report(
-            eager=self.eager,
-            running=len(running),
-            queued=len(queued),
-            first_queued=(
-                (queued[0]["job_id"], queued[0]["cpus"]) if queued else None
-            ),
-            running_detail=[
-                f"{j['job_id']} {j['name']} Running" for j in running
-            ],
+        return (
+            [f"{j['job_id']} {j['name']} Running" for j in running],
+            len(queued),
+            (queued[0]["job_id"], queued[0]["cpus"]) if queued else None,
         )
-        self._cache = (epoch, report)
-        _trace_check(self, self.side, report)
-        return report

@@ -74,12 +74,6 @@ class WinHpcJob:
     interrupted_at: Optional[float] = None
 
     @property
-    def required_cores_per_node(self) -> Optional[int]:
-        """For NODE-unit jobs the whole node is claimed; ``None`` here means
-        "all cores of whatever node is chosen"."""
-        return None if self.unit is WinJobUnit.NODE else 1
-
-    @property
     def seq_number(self) -> int:
         """Submission order (job ids are handed out sequentially)."""
         return self.job_id

@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SchedulerError
 from repro.sched.core import SchedulerCore
-from repro.sched.protocol import SWITCH_TAG, JobRequest
+from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG, JobRequest
 from repro.simkernel import Simulator
 from repro.winhpc.job import (
     PRIORITY_NORMAL,
@@ -127,7 +127,7 @@ class WinHpcScheduler(SchedulerCore):
         """Submit an OS-release job: one whole node, not rerunnable."""
         job = self.submit(
             WinJobSpec(
-                name="release_1_node",
+                name=SWITCH_JOB_NAME,
                 unit=WinJobUnit.NODE,
                 amount=1,
                 script=script,

@@ -142,11 +142,33 @@ def test_det006_reports_both_store_and_draw():
     assert ".uniform()" in messages[0]
 
 
-def test_perf002_names_the_unsafe_writer():
+def _perf002_findings(site):
     report = lint_flow_fixture("PERF002", "bad")
-    (finding,) = report.findings
+    return [f for f in report.findings if f"epoch-cached {site}()" in f.message]
+
+
+def test_perf002_names_the_unsafe_writer():
+    (finding,) = _perf002_findings("Render.render")
     assert "Store.sneak()" in finding.message
     assert "Store.items" in finding.message
+
+
+def test_perf002_follows_writers_and_reads_into_base_classes():
+    """The rows live in Table, are read through a Table method and are
+    clobbered by a Table method; the cache is keyed on a Ledger."""
+    (finding,) = _perf002_findings("Summary.total")
+    assert "Ledger.rows" in finding.message
+    assert "Table.wipe()" in finding.message
+
+
+def test_perf002_audits_an_inherited_cache_loop_per_subclass():
+    """CachedReport.report() reads the epoch through self._epoch(): the
+    site is StoreReport's, reported at its epoch hook."""
+    (finding,) = _perf002_findings("StoreReport.report")
+    assert "Store.items" in finding.message
+    assert "Store.sneak()" in finding.message
+    assert finding.path.endswith("report.py")
+    assert len(lint_flow_fixture("PERF002", "bad").findings) == 3
 
 
 def test_trc002_counts_mutation_through_an_inherited_helper():

@@ -33,6 +33,15 @@ def test_group_validation_runs_for_nested_spellings():
         TraceConfig(mode="everything")
 
 
+def test_elastic_config_validates_its_budgets():
+    with pytest.raises(ConfigurationError, match="min_online"):
+        ElasticConfig(min_online=-1)
+    with pytest.raises(ConfigurationError, match="idle_surplus"):
+        ElasticConfig(idle_surplus=-1)
+    with pytest.raises(ConfigurationError, match="max_actions"):
+        ElasticConfig(max_actions=0)
+
+
 def test_windows_scheduler_is_validated():
     assert MiddlewareConfig().windows_scheduler == "winhpc"
     assert MiddlewareConfig(windows_scheduler="slurm").windows_scheduler == (

@@ -1,10 +1,17 @@
-"""Detector tests: the three Figure-6 states on both schedulers."""
+"""Detector tests: the three Figure-6 states on every scheduler."""
 
 import pytest
 
 from repro.core.detector import PbsDetector, WinHpcDetector, parse_qstat_full
 from repro.pbs import JobSpec, PbsCommands, PbsServer
+from repro.sched import (
+    SCHEDULER_KINDS,
+    JobRequest,
+    create_detector,
+    create_scheduler,
+)
 from repro.simkernel import Simulator
+from repro.trace.tracer import Tracer
 from repro.winhpc import (
     HpcSchedulerConnection,
     WinHpcScheduler,
@@ -160,3 +167,110 @@ def test_win_switch_jobs_ignored(win_detector, win):
                    runtime_s=1.0, tag="os-switch")
     )
     assert win_detector.check().wire == "00000none"
+
+
+# -- every personality's detector, one contract ------------------------------
+
+NUM_NODES = 2
+CORES = 4
+SWITCH_SCRIPTS = {
+    "pbs": "#PBS -N release_1_node\n#PBS -l nodes=1\nshutdown -r now\n",
+    "winhpc": "shutdown /r /t 0\n",
+    "slurm": "shutdown -r now\n",
+}
+
+
+@pytest.fixture(params=SCHEDULER_KINDS)
+def personality(request):
+    sim = Simulator()
+    scheduler = create_scheduler(request.param, sim, head_name="head.test")
+    for i in range(1, NUM_NODES + 1):
+        name = f"n{i:02d}"
+        if request.param == "pbs":
+            scheduler.create_node(name, np=CORES)
+            scheduler.node_up(name)
+        else:
+            scheduler.add_node(name, cores=CORES)
+            scheduler.node_online(name)
+    return scheduler
+
+
+def cordon_all(scheduler):
+    for i in range(1, NUM_NODES + 1):
+        scheduler.cordon_node(f"n{i:02d}")
+
+
+def fill(scheduler):
+    for i in range(NUM_NODES):
+        scheduler.submit_request(
+            JobRequest(name=f"fill{i}", cores=CORES, runtime_s=600.0)
+        )
+
+
+def test_detectors_report_an_empty_queue_as_other_state(personality):
+    report = create_detector(personality).check()
+    assert report.wire == "00000none"
+    assert report.debug == ["Other state", "R=0 nR=0"]
+    assert (report.running, report.queued) == (0, 0)
+
+
+def test_detectors_report_running_with_no_queue(personality):
+    jobid = personality.submit_request(
+        JobRequest(name="sleep", cores=CORES, runtime_s=100.0)
+    )
+    report = create_detector(personality).check()
+    assert report.wire == "00000none"
+    assert report.debug[:2] == ["Job running, no queuing.", "R=1 nR=0"]
+    assert len(report.debug) == 3 and jobid in report.debug[2]
+    assert (report.running, report.queued) == (1, 0)
+
+
+def test_detectors_put_the_head_jobs_cpus_and_id_on_a_stuck_wire(personality):
+    cordon_all(personality)
+    head = personality.submit_request(
+        JobRequest(name="head", cores=3, runtime_s=10.0)
+    )
+    personality.submit_request(JobRequest(name="next", cores=1, runtime_s=10.0))
+    report = create_detector(personality).check()
+    assert report.wire == f"10003{head}"
+    assert report.message.stuck
+    assert report.debug == ["Queue stuck", "R=0 nR=2"]
+
+
+def test_eager_detectors_advertise_the_backlog_while_jobs_run(personality):
+    fill(personality)
+    head = personality.submit_request(
+        JobRequest(name="backlog", cores=2, runtime_s=10.0)
+    )
+    report = create_detector(personality, eager=True).check()
+    assert report.wire == f"00002{head}"
+    assert not report.message.stuck
+    assert report.debug[:2] == ["Job running.", "R=2 nR=1"]
+    # the lazy detector keeps the CPU field at its default
+    assert create_detector(personality).check().wire == "00000none"
+
+
+def test_detectors_exclude_switch_jobs(personality):
+    cordon_all(personality)
+    personality.submit_switch_job(
+        SWITCH_SCRIPTS[personality.kind], owner="dualboot-oscar"
+    )
+    assert personality.pending_switch_jobs() == 1
+    report = create_detector(personality, eager=True).check()
+    assert report.wire == "00000none"
+    assert (report.running, report.queued) == (0, 0)
+
+
+def test_detector_cache_hit_still_emits_detector_check(personality):
+    tracer = Tracer(personality.sim)
+    detector = create_detector(personality, tracer=tracer, node_name="head")
+    personality.submit_request(JobRequest(name="job", cores=1, runtime_s=10.0))
+    first = detector.check()
+    assert detector.check() is first  # unchanged epoch: cached report
+    events = tracer.events_of("detector.check")
+    assert len(events) == 2
+    assert [e.fields["wire"] for e in events] == [first.wire, first.wire]
+    assert {e.node for e in events} == {"head"}
+    personality.submit_request(JobRequest(name="more", cores=1, runtime_s=10.0))
+    assert detector.check() is not first  # epoch moved: rebuilt
+    assert len(tracer.events_of("detector.check")) == 3

@@ -9,18 +9,16 @@ rejoin ledger and the ``elastic.decision`` trace stream.
 
 from types import SimpleNamespace
 
-import pytest
-
 from repro.core import MiddlewareConfig, build_hybrid_cluster
-from repro.core.elasticity import ElasticityManager, ElasticityPolicy
-from repro.errors import ConfigurationError
+from repro.core.config import ElasticConfig
+from repro.core.elasticity import ElasticityManager
 from repro.hardware.node import NodeState
 from repro.sched import JobRequest
 from repro.simkernel import MINUTE
 from repro.trace.events import ELASTIC_DECISION
 
 
-def build(num_nodes=4, **policy_kw):
+def build(num_nodes=4, **elastic_kw):
     hybrid = build_hybrid_cluster(
         num_nodes=num_nodes, seed=1, version=2,
         config=MiddlewareConfig(version=2, check_cycle_s=10 * MINUTE),
@@ -30,9 +28,8 @@ def build(num_nodes=4, **policy_kw):
     manager = ElasticityManager(
         hybrid.sim,
         hybrid.cluster,
-        hybrid.pbs,
-        hybrid.winhpc,
-        policy=ElasticityPolicy(**policy_kw),
+        hybrid.schedulers,
+        config=ElasticConfig(**elastic_kw),
         orders=hybrid.daemons.orders,
         health=hybrid.health,
         linux_comm=hybrid.daemons.linux,
@@ -51,21 +48,10 @@ def decisions(hybrid, action):
             if e.fields["action"] == action]
 
 
-def test_policy_validation():
-    with pytest.raises(ConfigurationError):
-        ElasticityPolicy(min_online=-1)
-    with pytest.raises(ConfigurationError):
-        ElasticityPolicy(hysteresis_cycles=0)
-    with pytest.raises(ConfigurationError):
-        ElasticityPolicy(idle_surplus=-1)
-    with pytest.raises(ConfigurationError):
-        ElasticityPolicy(max_actions_per_cycle=0)
-
-
 def test_hysteresis_holds_the_first_surplus_evaluation():
     hybrid, manager = build(
         hysteresis_cycles=2, idle_surplus=0, min_online=1,
-        max_actions_per_cycle=10,
+        max_actions=10,
     )
     manager.evaluate()
     assert manager.suspends == 0          # streak 1 < hysteresis 2
@@ -82,7 +68,7 @@ def test_hysteresis_holds_the_first_surplus_evaluation():
 def test_min_online_floor_blocks_all_suspends():
     hybrid, manager = build(
         hysteresis_cycles=1, idle_surplus=0, min_online=4,
-        max_actions_per_cycle=10,
+        max_actions=10,
     )
     for _ in range(5):
         manager.evaluate()
@@ -93,7 +79,7 @@ def test_min_online_floor_blocks_all_suspends():
 def test_action_budget_caps_suspends_per_cycle():
     hybrid, manager = build(
         hysteresis_cycles=1, idle_surplus=0, min_online=0,
-        max_actions_per_cycle=2,
+        max_actions=2,
     )
     manager.evaluate()
     assert manager.suspends == 2
@@ -102,7 +88,7 @@ def test_action_budget_caps_suspends_per_cycle():
 def test_victims_are_cordoned_before_shutdown():
     hybrid, manager = build(
         hysteresis_cycles=1, idle_surplus=0, min_online=1,
-        max_actions_per_cycle=10,
+        max_actions=10,
     )
     manager.evaluate()
     # inspected before the suspend processes run: the PBS record is
@@ -116,7 +102,7 @@ def test_victims_are_cordoned_before_shutdown():
 def test_pressure_resumes_lowest_named_first_with_rejoin_expected():
     hybrid, manager = build(
         hysteresis_cycles=1, idle_surplus=0, min_online=1,
-        max_actions_per_cycle=1,
+        max_actions=1,
     )
     manager.evaluate()                    # parks enode04
     hybrid.sim.run(until=hybrid.sim.now + 2 * MINUTE)
@@ -145,7 +131,7 @@ def test_pressure_resumes_lowest_named_first_with_rejoin_expected():
 def test_provision_only_when_boots_land_on_the_pressured_side():
     hybrid, manager = build(
         hysteresis_cycles=1, idle_surplus=0, min_online=1,
-        max_actions_per_cycle=4,
+        max_actions=4,
     )
     node_by_name(hybrid, "enode04").deprovision()
     hybrid.submit("linux", JobRequest(
@@ -199,7 +185,7 @@ def test_stale_windows_report_holds_that_side():
 def test_unhealthy_nodes_are_not_suspend_candidates():
     hybrid, manager = build(
         hysteresis_cycles=1, idle_surplus=0, min_online=0,
-        max_actions_per_cycle=10,
+        max_actions=10,
     )
     # fake a non-healthy verdict for the would-be first victim
     real_health = hybrid.health

@@ -57,7 +57,10 @@ def rig():
         dhcp=DhcpServer(),
     )
     controller.prepare_cluster()
-    orders = SwitchOrders(pbs, winhpc, controller, order_timeout_s=15 * MINUTE)
+    orders = SwitchOrders(
+        {"linux": pbs, "windows": winhpc}, controller,
+        order_timeout_s=15 * MINUTE,
+    )
     linux = LinuxCommunicator(
         sim=sim,
         listener=linhead.listen(5800),
@@ -233,7 +236,7 @@ def test_tick_without_cycle_is_a_noop():
         listener=linhead.listen(5800),
         detector=PbsDetector(PbsCommands(pbs)),
         policy=FcfsPolicy(),
-        orders=SwitchOrders(pbs, winhpc, controller),
+        orders=SwitchOrders({"linux": pbs, "windows": winhpc}, controller),
     )
     assert linux.staleness_cap_s is None
     sim.run(until=1 * HOUR)
@@ -313,7 +316,10 @@ def test_expire_cancels_a_still_queued_switch_job(rig):
 def test_order_timeout_validation(rig):
     _, _, pbs, winhpc, orders, *_ = rig
     with pytest.raises(MiddlewareError):
-        SwitchOrders(pbs, winhpc, orders.controller, order_timeout_s=0)
+        SwitchOrders(
+            {"linux": pbs, "windows": winhpc}, orders.controller,
+            order_timeout_s=0,
+        )
 
 
 def test_pending_to_linux_uses_enum_states(rig):
@@ -326,7 +332,7 @@ def test_pending_to_linux_uses_enum_states(rig):
     for i in range(1, 5):
         winhpc.node_online(f"enode{i:02d}")
     linux.handle("00000none")
-    assert orders.pending_to_linux() == 1
+    assert winhpc.pending_switch_jobs() == 1
     job = [j for j in winhpc.jobs.values() if j.tag == "os-switch"][0]
     assert job.state in (WinJobState.QUEUED, WinJobState.RUNNING)
 

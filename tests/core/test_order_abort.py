@@ -34,7 +34,10 @@ def rig():
         dhcp=DhcpServer(),
     )
     controller.prepare_cluster()
-    orders = SwitchOrders(pbs, winhpc, controller, order_timeout_s=15 * MINUTE)
+    orders = SwitchOrders(
+        {"linux": pbs, "windows": winhpc}, controller,
+        order_timeout_s=15 * MINUTE,
+    )
     return sim, pbs, winhpc, orders
 
 

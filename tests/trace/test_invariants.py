@@ -247,7 +247,7 @@ def control_rig(tracer, linux_cls):
         dhcp=DhcpServer(),
     )
     controller.prepare_cluster()
-    orders = SwitchOrders(pbs, winhpc, controller,
+    orders = SwitchOrders({"linux": pbs, "windows": winhpc}, controller,
                           order_timeout_s=15 * MINUTE, tracer=tracer)
     linux = linux_cls(
         sim=sim,
