@@ -21,7 +21,7 @@ an imperfect one:
   instead of killing the daemon;
 * **staleness guard** — the deciding side timestamps the last valid
   Windows report and refuses to base a switch decision on one older than
-  ``staleness_cycles`` communicator cycles;
+  :data:`STALENESS_CYCLES` communicator cycles;
 * **switch-order watchdog** — every issued switch order is tracked until
   a node actually rejoins the target scheduler; orders whose node never
   returns (hung at boot, lost to a partition) are marked failed after a
@@ -45,6 +45,21 @@ from repro.simkernel.rng import RngStreams
 #: Default watchdog deadline for one switch order: a reboot costs 3-5
 #: minutes (E1), so three times that is unambiguous failure.
 DEFAULT_ORDER_TIMEOUT_S = 15 * MINUTE
+
+#: Resends of an unacked report before the Windows side gives up until
+#: the next cycle.
+MAX_RETRIES = 2
+
+#: First retry backoff; it doubles per attempt, plus seeded jitter of up
+#: to one base.
+RETRY_BASE_S = 5.0
+
+#: How long the Windows side waits for the ack of one send.
+ACK_TIMEOUT_S = 10.0
+
+#: A Windows report older than this many communicator cycles is stale:
+#: the Linux side refuses to base a switch decision on it.
+STALENESS_CYCLES = 3
 
 
 @dataclass
@@ -256,15 +271,12 @@ class LinuxCommunicator:
         detector: Any,
         policy: SwitchPolicy,
         orders: SwitchOrders,
+        host: Host,
+        ack_port: int,
+        cycle_s: float,
         cores_per_node: int = 4,
-        host: Optional[Host] = None,
-        ack_port: Optional[int] = None,
-        cycle_s: Optional[float] = None,
-        staleness_cycles: int = 3,
         tracer: Optional[Any] = None,
     ) -> None:
-        if staleness_cycles < 1:
-            raise MiddlewareError("staleness cap must be >= 1 cycle")
         self.sim = sim
         self.tracer = tracer
         self.listener = listener
@@ -275,7 +287,6 @@ class LinuxCommunicator:
         self.host = host
         self.ack_port = ack_port
         self.cycle_s = cycle_s
-        self.staleness_cycles = staleness_cycles
         self.decisions: List[DecisionRecord] = []
         # hardened-path state: the timestamped last valid Windows report
         self.last_windows_state: Optional[QueueStateMessage] = None
@@ -290,11 +301,9 @@ class LinuxCommunicator:
     # -- views & decisions ---------------------------------------------------
 
     @property
-    def staleness_cap_s(self) -> Optional[float]:
-        """Oldest acceptable report age, or ``None`` when cycle-agnostic."""
-        if self.cycle_s is None:
-            return None
-        return self.staleness_cycles * self.cycle_s
+    def staleness_cap_s(self) -> float:
+        """Oldest acceptable report age."""
+        return STALENESS_CYCLES * self.cycle_s
 
     def views(self, windows_state: QueueStateMessage):
         """Assemble both sides' ClusterViews from live scheduler state."""
@@ -362,8 +371,7 @@ class LinuxCommunicator:
                 fields["target_os"] = decision.target_os
             if self.last_report_at is not None:
                 fields["report_age_s"] = self.sim.now - self.last_report_at
-            if self.staleness_cap_s is not None:
-                fields["staleness_cap_s"] = self.staleness_cap_s
+            fields["staleness_cap_s"] = self.staleness_cap_s
             self.tracer.emit("control.decision", **fields)
         self.orders.issue(decision)
         return decision
@@ -386,11 +394,10 @@ class LinuxCommunicator:
             return None
         self.reports_received += 1
         self._receive(windows_state, wire, via="network", src=message.src)
-        if self.host is not None and self.ack_port is not None:
-            self.host.send(message.src, self.ack_port, ("ack", wire))
-            self.acks_sent += 1
-            if self.tracer is not None:
-                self.tracer.emit("comm.ack_sent", wire=wire, dst=message.src)
+        self.host.send(message.src, self.ack_port, ("ack", wire))
+        self.acks_sent += 1
+        if self.tracer is not None:
+            self.tracer.emit("comm.ack_sent", wire=wire, dst=message.src)
         return self._evaluate(windows_state, wire)
 
     def tick(self) -> None:
@@ -400,20 +407,23 @@ class LinuxCommunicator:
           covered it — do nothing;
         * older than a cycle but within the staleness cap: re-evaluate with
           the last state (a lost report must not freeze the control loop);
-        * older than the cap: record an explicit no-switch decision — the
-          guard that keeps stale data from triggering reboots.
+        * older than the cap, or no report since start-up: record an
+          explicit no-switch decision — the guard that keeps stale (or
+          absent) data from triggering reboots.
         """
         cap = self.staleness_cap_s
-        if cap is None or self.cycle_s is None:
-            return
         age = self.sim.now - (
             self.last_report_at if self.last_report_at is not None else self._epoch
         )
         if age <= self.cycle_s:
             return
-        if age <= cap and self.last_windows_state is not None:
+        if self.last_windows_state is None:
+            reason = f"no windows report yet (age {age:.0f}s)"
+        elif age <= cap:
             self._evaluate(self.last_windows_state, self.last_windows_wire)
             return
+        else:
+            reason = f"windows report stale (age {age:.0f}s > cap {cap:.0f}s)"
         self.stale_skips += 1
         if self.tracer is not None:
             self.tracer.emit("comm.stale_skip", age_s=age, cap_s=cap)
@@ -422,9 +432,7 @@ class LinuxCommunicator:
                 time=self.sim.now,
                 windows_wire=self.last_windows_wire,
                 linux_wire="",
-                decision=SwitchDecision.nothing(
-                    f"windows report stale (age {age:.0f}s > cap {cap:.0f}s)"
-                ),
+                decision=SwitchDecision.nothing(reason),
             )
         )
 
@@ -446,19 +454,12 @@ class WindowsCommunicator:
         linux_head: str,
         port: int,
         cycle_s: float,
-        ack_listener: Optional[PortListener] = None,
-        max_retries: int = 2,
-        retry_base_s: float = 5.0,
-        ack_timeout_s: float = 10.0,
-        rng: Optional[RngStreams] = None,
+        ack_listener: PortListener,
+        rng: RngStreams,
         tracer: Optional[Any] = None,
     ) -> None:
         if cycle_s <= 0:
             raise MiddlewareError("communicator cycle must be positive")
-        if max_retries < 0:
-            raise MiddlewareError("max_retries must be >= 0")
-        if retry_base_s <= 0 or ack_timeout_s <= 0:
-            raise MiddlewareError("retry/ack timings must be positive")
         self.sim = sim
         self.host = host
         self.detector = detector
@@ -466,9 +467,6 @@ class WindowsCommunicator:
         self.port = port
         self.cycle_s = cycle_s
         self.ack_listener = ack_listener
-        self.max_retries = max_retries
-        self.retry_base_s = retry_base_s
-        self.ack_timeout_s = ack_timeout_s
         self.rng = rng
         self.tracer = tracer
         self.reports_sent = 0      # network sends, including retries
@@ -484,20 +482,14 @@ class WindowsCommunicator:
             )
 
     def _send_report(self, wire: str):
-        """Send one report; with an ack channel, retry with backoff+jitter."""
-        if self.ack_listener is None:
-            # fire-and-forget, exactly the paper's implementation
-            self.host.send(self.linux_head, self.port, wire)
-            self.reports_sent += 1
-            self._trace("comm.report_sent", wire=wire, attempt=0)
-            return
-        for attempt in range(self.max_retries + 1):
+        """Send one report; retry unacked sends with backoff plus jitter."""
+        for attempt in range(MAX_RETRIES + 1):
             while self.ack_listener.try_get() is not None:
                 pass  # drain acks from earlier cycles
             self.host.send(self.linux_head, self.port, wire)
             self.reports_sent += 1
             self._trace("comm.report_sent", wire=wire, attempt=attempt)
-            yield Timeout(self.ack_timeout_s)
+            yield Timeout(ACK_TIMEOUT_S)
             ack = self.ack_listener.try_get()
             while ack is not None and ack.payload != ("ack", wire):
                 ack = self.ack_listener.try_get()
@@ -505,13 +497,11 @@ class WindowsCommunicator:
                 self.reports_acked += 1
                 self._trace("comm.report_acked", wire=wire, attempt=attempt)
                 return
-            if attempt < self.max_retries:
+            if attempt < MAX_RETRIES:
                 self.retries += 1
-                backoff = self.retry_base_s * (2 ** attempt)
-                if self.rng is not None:
-                    backoff += self.rng.uniform(
-                        "commswin:retry-jitter", 0.0, self.retry_base_s
-                    )
+                backoff = RETRY_BASE_S * (2 ** attempt) + self.rng.uniform(
+                    "commswin:retry-jitter", 0.0, RETRY_BASE_S
+                )
                 self._trace("comm.retry", attempt=attempt, backoff_s=backoff)
                 yield Timeout(backoff)
         self.reports_failed += 1

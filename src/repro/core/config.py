@@ -1,7 +1,7 @@
 """Middleware configuration.
 
 Knob families live in nested groups (:class:`ElasticConfig`,
-:class:`EnergyConfig`, :class:`TraceConfig`).
+:class:`TraceConfig`).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.simkernel.timeunits import MINUTE
+from repro.trace.tracer import TRACE_MODES
 
 #: TCP port the Linux communicator listens on.
 COMMUNICATOR_PORT = 5800
@@ -52,14 +53,6 @@ class ElasticConfig:
 
 
 @dataclass
-class EnergyConfig:
-    """Energy accounting."""
-
-    #: meter every node's watt draw into the trace
-    metering: bool = True
-
-
-@dataclass
 class TraceConfig:
     """Trace-export behaviour."""
 
@@ -70,10 +63,9 @@ class TraceConfig:
     mode: str = "full"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("full", "counts", "off"):
+        if self.mode not in TRACE_MODES:
             raise ConfigurationError(
-                f"bad trace mode {self.mode!r} "
-                "(expected 'full', 'counts' or 'off')"
+                f"bad trace mode {self.mode!r} (expected one of {TRACE_MODES})"
             )
 
 
@@ -102,23 +94,8 @@ class MiddlewareConfig:
     #: §V extension: detectors advertise backlog in the CPU field even
     #: while jobs run (pair with EagerPolicy)
     eager_detectors: bool = False
-    #: hardened control plane: ack every report, retry unacked sends
-    comm_acks: bool = True
-    comm_max_retries: int = 2
-    comm_retry_base_s: float = 5.0
-    comm_ack_timeout_s: float = 10.0
-    #: refuse switch decisions on Windows reports older than this many cycles
-    staleness_cycles: int = 3
     #: switch-order watchdog: orders unresolved after this are failed
     order_timeout_s: float = 15 * MINUTE
-    watchdog_poll_s: float = MINUTE
-    #: node-failure resilience: heartbeat monitor + job recovery policy
-    health_monitoring: bool = True
-    health_beat_s: float = MINUTE
-    health_suspect_misses: int = 2
-    health_fence_misses: int = 5
-    #: how many times a rerunnable job is requeued before it fails for good
-    job_max_restarts: int = 3
     #: checkpoint model: work in whole multiples of this interval survives
     #: an eviction (``None`` = no checkpointing, everything is lost)
     checkpoint_interval_s: Optional[float] = None
@@ -129,7 +106,6 @@ class MiddlewareConfig:
     windows_scheduler: str = "winhpc"
     #: nested knob groups
     elastic: ElasticConfig = field(default_factory=ElasticConfig)
-    energy: EnergyConfig = field(default_factory=EnergyConfig)
     trace: TraceConfig = field(default_factory=TraceConfig)
 
     def __post_init__(self) -> None:
@@ -145,22 +121,8 @@ class MiddlewareConfig:
             raise ConfigurationError(
                 f"bad v1 switch method {self.v1_switch_method!r}"
             )
-        if self.comm_max_retries < 0:
-            raise ConfigurationError("comm_max_retries must be >= 0")
-        if self.comm_retry_base_s <= 0 or self.comm_ack_timeout_s <= 0:
-            raise ConfigurationError("retry/ack timings must be positive")
-        if self.staleness_cycles < 1:
-            raise ConfigurationError("staleness_cycles must be >= 1")
-        if self.order_timeout_s <= 0 or self.watchdog_poll_s <= 0:
-            raise ConfigurationError("watchdog timings must be positive")
-        if self.health_beat_s <= 0:
-            raise ConfigurationError("health_beat_s must be positive")
-        if not 1 <= self.health_suspect_misses < self.health_fence_misses:
-            raise ConfigurationError(
-                "need 1 <= health_suspect_misses < health_fence_misses"
-            )
-        if self.job_max_restarts < 0:
-            raise ConfigurationError("job_max_restarts must be >= 0")
+        if self.order_timeout_s <= 0:
+            raise ConfigurationError("order_timeout_s must be positive")
         if self.checkpoint_interval_s is not None and self.checkpoint_interval_s <= 0:
             raise ConfigurationError(
                 "checkpoint_interval_s must be positive when set"

@@ -35,7 +35,10 @@ from repro.errors import MiddlewareError
 from repro.hardware.cluster import Cluster
 from repro.netsvc.network import Host
 from repro.sched import create_detector
-from repro.simkernel import Process, Simulator, Timeout
+from repro.simkernel import MINUTE, Process, Simulator, Timeout
+
+#: How often the switch-order watchdog looks for overdue orders.
+WATCHDOG_POLL_S = MINUTE
 
 
 def _ticker_loop(linux: LinuxCommunicator):
@@ -47,9 +50,9 @@ def _ticker_loop(linux: LinuxCommunicator):
         yield Timeout(linux.cycle_s)
 
 
-def _watchdog_loop(sim: Simulator, orders: SwitchOrders, poll_s: float):
+def _watchdog_loop(sim: Simulator, orders: SwitchOrders):
     while True:
-        yield Timeout(poll_s)
+        yield Timeout(WATCHDOG_POLL_S)
         orders.expire(sim.now)
 
 
@@ -137,13 +140,14 @@ def start_daemons(
 ) -> DualBootDaemons:
     """Stand up the control plane and return its handles.
 
-    *schedulers* maps each OS side to its personality; every daemon knob
-    comes from *config*.
+    *schedulers* maps each OS side to its personality.  *config* supplies
+    the deployment's cycle, port, user, detector mode and order timeout;
+    the retry, staleness and watchdog timings are the module constants of
+    :mod:`repro.core.communicator` and this module.
     """
     sim = cluster.sim
     cycle_s = config.check_cycle_s
     port = config.communicator_port
-    acks = config.comm_acks
     linux_head, windows_head = cluster.linux_head, cluster.windows_head
 
     orders = SwitchOrders(
@@ -153,7 +157,7 @@ def start_daemons(
     )
 
     listener = linux_head.host.listen(port)
-    ack_listener = windows_head.host.listen(port + 1) if acks else None
+    ack_listener = windows_head.host.listen(port + 1)
     linux_daemon = LinuxCommunicator(
         sim=sim,
         listener=listener,
@@ -166,10 +170,9 @@ def start_daemons(
         cores_per_node=(
             cluster.compute_nodes[0].cores if cluster.compute_nodes else 4
         ),
-        host=linux_head.host if acks else None,
-        ack_port=port + 1 if acks else None,
+        host=linux_head.host,
+        ack_port=port + 1,
         cycle_s=cycle_s,
-        staleness_cycles=config.staleness_cycles,
         tracer=tracer,
     )
 
@@ -184,9 +187,6 @@ def start_daemons(
         port=port,
         cycle_s=cycle_s,
         ack_listener=ack_listener,
-        max_retries=config.comm_max_retries,
-        retry_base_s=config.comm_retry_base_s,
-        ack_timeout_s=config.comm_ack_timeout_s,
         rng=cluster.rng.spawn("communicator"),
         tracer=tracer,
     )
@@ -198,7 +198,7 @@ def start_daemons(
         windows_process=sim.spawn(windows_daemon.run(), name="daemon:windows"),
         ticker_process=sim.spawn(_ticker_loop(linux_daemon), name="daemon:ticker"),
         watchdog_process=sim.spawn(
-            _watchdog_loop(sim, orders, config.watchdog_poll_s),
+            _watchdog_loop(sim, orders),
             name="daemon:watchdog",
         ),
         orders=orders,

@@ -43,7 +43,6 @@ class ElasticityManager:
 
     *schedulers* maps each OS side to its personality; the knobs come
     from *config* (``enabled`` is the middleware's switch, not read here).
-    *health* is ``None`` when heartbeat monitoring is off.
     """
 
     def __init__(
@@ -167,13 +166,10 @@ class ElasticityManager:
         """The Linux head's view of the Windows queue is only as fresh as
         the last report; past the staleness cap, acting on it repeats the
         bug PR 1's staleness guard fixed."""
-        cap = self.linux_comm.staleness_cap_s
-        if cap is None:
-            return False
         last = self.linux_comm.last_report_at
         if last is None:
             return True
-        return self.sim.now - last > cap
+        return self.sim.now - last > self.linux_comm.staleness_cap_s
 
     def _queued_workload(self, side: str) -> int:
         return sum(
@@ -204,8 +200,6 @@ class ElasticityManager:
         return out
 
     def _healthy(self, name: str) -> bool:
-        if self.health is None:
-            return True
         try:
             return self.health.health(name).state.value == "healthy"
         except KeyError:

@@ -105,8 +105,11 @@ class DualBootOscar:
         self.controller: Optional[BootController] = None
         self.daemons: Optional[DualBootDaemons] = None
         self.menu_spec: Optional[DualBootMenuSpec] = None
-        self.health: Optional[HeartbeatMonitor] = None
-        self.energy: Optional[EnergyMeter] = None
+        #: node-failure resilience: the heartbeat monitor fences dead nodes
+        self.health = HeartbeatMonitor(cluster.sim, tracer=self.tracer)
+        self.health.on_fence.append(self._on_node_fenced)
+        #: every node's watt draw, metered into the trace
+        self.energy = EnergyMeter(cluster.sim, tracer=self.tracer)
         self.elasticity: Optional[ElasticityManager] = None
         self._deployed = False
 
@@ -165,39 +168,22 @@ class DualBootOscar:
         image = self._deploy_linux_side()
         self._build_controller(image)
         self._prepare_nodes()
-        # node-failure resilience: recovery policy + heartbeat monitor
+        # job recovery policy: checkpoint credit for evicted work
         for scheduler in self.schedulers.values():
             scheduler.tracer = self.tracer
-            scheduler.max_job_restarts = config.job_max_restarts
             scheduler.checkpoint_interval_s = config.checkpoint_interval_s
-        if config.health_monitoring:
-            self.health = HeartbeatMonitor(
-                self.sim,
-                beat_s=config.health_beat_s,
-                suspect_misses=config.health_suspect_misses,
-                fence_misses=config.health_fence_misses,
-                tracer=self.tracer,
-            )
-            self.health.on_fence.append(self._on_node_fenced)
-        if config.energy.metering:
-            self.energy = EnergyMeter(self.sim, tracer=self.tracer)
         for node in self.cluster.compute_nodes:
             node.provisioners.append(self._dualboot_provisioner)
             node.tracer = self.tracer
             node.on_crash.append(self._on_node_crash)
-            if self.health is not None:
-                self.health.watch(node)
+            self.health.watch(node)
             self.recorder.attach_node(node)
-            if self.energy is not None:
-                self.energy.attach_node(node)
+            self.energy.attach_node(node)
         for personality in self.schedulers.values():
             self.recorder.attach_scheduler(personality)
-        if self.energy is not None:
-            for personality in self.schedulers.values():
-                self.energy.attach_scheduler(personality)
+            self.energy.attach_scheduler(personality)
         self._deployed = True
-        if self.health is not None:
-            self.health.start()
+        self.health.start()
         self._initial_power_on()
         self.daemons = start_daemons(
             self.cluster, self.schedulers, self.controller, self.policy,
@@ -313,10 +299,9 @@ class DualBootOscar:
 
     def _dualboot_provisioner(self, node: ComputeNode, os_instance: OSInstance) -> None:
         """Per-boot wiring: the switch scripts' dependencies must exist."""
-        if self.health is not None:
-            # the heartbeat agent rides both OSes, so an OS switch never
-            # looks like a node death
-            self.health.attach_agent(node, os_instance)
+        # the heartbeat agent rides both OSes, so an OS switch never looks
+        # like a node death
+        self.health.attach_agent(node, os_instance)
         if os_instance.kind == "linux":
             register_bootcontrol(os_instance)
             os_instance.mkdir(f"/home/{self.config.pbs_user}/reboot_log")
@@ -436,8 +421,7 @@ class DualBootOscar:
     def finalize(self) -> None:
         """Close metric intervals at the current time (call before analysis)."""
         self.recorder.finalize(self.sim.now)
-        if self.energy is not None:
-            self.energy.finalize()
+        self.energy.finalize()
 
     def status_report(self) -> str:
         """An operator's one-screen view of the hybrid cluster."""

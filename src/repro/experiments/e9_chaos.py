@@ -112,7 +112,6 @@ def _chaos_run(version: int, scenario: str, seed: int,
             version=version,
             check_cycle_s=5 * MINUTE,
             order_timeout_s=12 * MINUTE,
-            watchdog_poll_s=MINUTE,
         ),
     )
     hybrid.deploy()
@@ -177,8 +176,8 @@ def _chaos_run(version: int, scenario: str, seed: int,
         "orders_confirmed": daemons.orders.orders_confirmed,
         "orders_failed": daemons.orders.orders_failed,
         "switches": hybrid.recorder.switch_count,
-        "node_fences": hybrid.health.fences if hybrid.health else 0,
-        "node_recoveries": hybrid.health.recoveries if hybrid.health else 0,
+        "node_fences": hybrid.health.fences,
+        "node_recoveries": hybrid.health.recoveries,
         "requeued_jobs": hybrid.pbs.requeues + hybrid.winhpc.requeues,
         "jobs_done": win_done + (1 if lin_done else 0),
         "daemons_alive": all(p is not None and p.alive

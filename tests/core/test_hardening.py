@@ -9,6 +9,8 @@ import pytest
 
 from repro.core import MiddlewareConfig, build_hybrid_cluster
 from repro.core.communicator import (
+    MAX_RETRIES,
+    STALENESS_CYCLES,
     LinuxCommunicator,
     SwitchOrders,
     WindowsCommunicator,
@@ -71,7 +73,6 @@ def rig():
         host=linhead,
         ack_port=5801,
         cycle_s=CYCLE,
-        staleness_cycles=2,
     )
     sdk = HpcSchedulerConnection()
     sdk.connect(winhpc)
@@ -83,9 +84,6 @@ def rig():
         port=5800,
         cycle_s=CYCLE,
         ack_listener=winhead.listen(5801),
-        max_retries=2,
-        retry_base_s=5.0,
-        ack_timeout_s=10.0,
         rng=RngStreams(11).spawn("communicator"),
     )
     return sim, network, pbs, winhpc, orders, linux, windows, linhead, winhead
@@ -112,8 +110,8 @@ def test_unacked_report_retries_with_backoff_then_gives_up(rig):
     linhead.online = False  # nobody home: every send is dropped
     sim.spawn(windows.run())
     sim.run(until=9 * MINUTE)  # one cycle worth of attempts
-    assert windows.reports_sent == 3   # original + 2 retries
-    assert windows.retries == 2
+    assert windows.reports_sent == MAX_RETRIES + 1   # original + retries
+    assert windows.retries == MAX_RETRIES
     assert windows.reports_failed == 1
     assert windows.reports_acked == 0
 
@@ -142,20 +140,6 @@ def test_retry_recovers_a_lost_first_send(rig):
     # the cycle cadence is epoch-aligned: retries don't skew the next report
     sim.run(until=15 * MINUTE)
     assert windows.reports_acked == 2
-
-
-def test_retry_config_validation(rig):
-    sim, *_, windows, _, winhead = rig
-    with pytest.raises(MiddlewareError):
-        WindowsCommunicator(
-            sim=sim, host=winhead, detector=windows.detector,
-            linux_head="eridani", port=1, cycle_s=CYCLE, max_retries=-1,
-        )
-    with pytest.raises(MiddlewareError):
-        WindowsCommunicator(
-            sim=sim, host=winhead, detector=windows.detector,
-            linux_head="eridani", port=1, cycle_s=CYCLE, retry_base_s=0.0,
-        )
 
 
 # -- tolerant decode ----------------------------------------------------------
@@ -209,7 +193,8 @@ def test_tick_never_decides_on_a_report_past_the_cap(rig):
     sim, _, _, _, orders, linux, *_ = rig
     linux.handle("00000none")
     issued_before = orders.orders_issued
-    sim.run(until=25 * MINUTE)  # cap is 2 cycles = 20 minutes
+    # half a cycle past the cap of STALENESS_CYCLES cycles
+    sim.run(until=STALENESS_CYCLES * CYCLE + CYCLE / 2)
     linux.tick()
     assert linux.stale_skips == 1
     last = linux.decisions[-1]
@@ -218,39 +203,17 @@ def test_tick_never_decides_on_a_report_past_the_cap(rig):
     assert orders.orders_issued == issued_before
 
 
-def test_tick_without_cycle_is_a_noop():
-    """Communicators built the old way (no cycle_s) never tick-decide."""
-    sim = Simulator()
-    network = Network(sim)
-    linhead = network.register("eridani")
-    pbs = PbsServer(sim)
-    winhpc = WinHpcScheduler(sim)
-    controller = ControllerV2(
-        DualBootMenuSpec(boot_partition=2, root_partition=6),
-        tftp=TftpServer(Filesystem(FsType.EXT3)),
-        dhcp=DhcpServer(),
-    )
-    controller.prepare_cluster()
-    linux = LinuxCommunicator(
-        sim=sim,
-        listener=linhead.listen(5800),
-        detector=PbsDetector(PbsCommands(pbs)),
-        policy=FcfsPolicy(),
-        orders=SwitchOrders({"linux": pbs, "windows": winhpc}, controller),
-    )
-    assert linux.staleness_cap_s is None
-    sim.run(until=1 * HOUR)
+def test_tick_before_any_report_gives_a_true_reason(rig):
+    """With no Windows report ever received the refusal must say so, not
+    claim a report older than the cap."""
+    sim, _, _, _, orders, linux, *_ = rig
+    sim.run(until=15 * MINUTE)  # 1.5 cycles, well inside the cap
     linux.tick()
-    assert linux.decisions == []
-
-
-def test_staleness_validation(rig):
-    sim, _, pbs, winhpc, orders, linux, *_ = rig
-    with pytest.raises(MiddlewareError):
-        LinuxCommunicator(
-            sim=sim, listener=linux.listener, detector=linux.detector,
-            policy=linux.policy, orders=orders, staleness_cycles=0,
-        )
+    assert linux.stale_skips == 1
+    last = linux.decisions[-1]
+    assert not last.decision.is_switch
+    assert last.decision.reason == "no windows report yet (age 900s)"
+    assert orders.orders_issued == 0
 
 
 # -- order ledger + watchdog --------------------------------------------------
@@ -395,7 +358,7 @@ def test_watchdog_fails_hung_switch_order_and_reissues():
     """ISSUE acceptance: inject hang-at-boot under a switch order; the
     order must fail, in-flight must return to zero, and a later cycle
     must re-issue the switch."""
-    hybrid = deployed(order_timeout_s=10 * MINUTE, watchdog_poll_s=MINUTE)
+    hybrid = deployed(order_timeout_s=10 * MINUTE)
     injector = FaultInjector(
         hybrid.sim,
         hybrid.cluster.network,

@@ -18,10 +18,9 @@ import pytest
 from repro.experiments import ALL_EXPERIMENTS
 from repro.pbs.scheduler import allocate_fifo
 from repro.pbs.server import PbsServer
+from tests.trace.test_determinism import SIMULATION_EXPERIMENTS
 
 SEED = 3
-
-EXPERIMENTS = sorted(f"e{i}" for i in range(1, 10))
 
 
 def _run(experiment_id):
@@ -29,7 +28,7 @@ def _run(experiment_id):
     return module.run(seed=SEED, quick=True)
 
 
-@pytest.mark.parametrize("experiment_id", EXPERIMENTS)
+@pytest.mark.parametrize("experiment_id", SIMULATION_EXPERIMENTS)
 def test_reference_allocator_gives_identical_traces(
     experiment_id, monkeypatch
 ):

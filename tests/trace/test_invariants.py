@@ -223,7 +223,7 @@ class _UnguardedLinuxCommunicator(LinuxCommunicator):
     re-evaluates the last Windows state no matter how old it is."""
 
     def tick(self):
-        if self.last_windows_state is None or self.cycle_s is None:
+        if self.last_windows_state is None:
             return
         # BUG: no staleness-cap check before consuming the report
         self._evaluate(self.last_windows_state, self.last_windows_wire)
@@ -259,7 +259,6 @@ def control_rig(tracer, linux_cls):
         host=linhead,
         ack_port=5801,
         cycle_s=CYCLE,
-        staleness_cycles=2,
         tracer=tracer,
     )
     sdk = HpcSchedulerConnection()
@@ -272,9 +271,6 @@ def control_rig(tracer, linux_cls):
         port=5800,
         cycle_s=CYCLE,
         ack_listener=winhead.listen(5801),
-        max_retries=2,
-        retry_base_s=5.0,
-        ack_timeout_s=10.0,
         rng=RngStreams(11).spawn("communicator"),
         tracer=tracer,
     )
