@@ -178,7 +178,7 @@ def default_config() -> LintConfig:
         "PERF001": RulePolicy(
             default=Severity.OFF,
             overrides={
-                "repro.pbs.scheduler": error,
+                "repro.sched.index": error,
                 "repro.core.detector": error,
             },
         ),

@@ -48,7 +48,7 @@ class HotPathSortRule(Rule):
         "justification"
     )
     rationale = (
-        "repro.pbs.scheduler and repro.core.detector sit on the "
+        "repro.sched.index and repro.core.detector sit on the "
         "per-control-cycle path at every cluster size; the 1024-node "
         "scale work (E10) replaced their sorted()-scans with persistent "
         "indexes and epoch caches.  Any sort added back must either move "

@@ -40,10 +40,8 @@ from repro.hardware.node import NodeState
 from repro.health import HealthState
 from repro.metrics.report import Table
 from repro.pbs.job import JobState
-from repro.pbs.nodes import PbsNodeState
 from repro.simkernel import HOUR, MINUTE, Timeout
 from repro.winhpc.job import WinJobState
-from repro.winhpc.nodestate import WinNodeState
 from repro.workloads import MixedWorkload
 
 SIZES = (64, 256, 1024)
@@ -110,26 +108,17 @@ def _rejoin_ok(middleware) -> bool:
     """Every fenced node that is powered up again is healthy and
     schedulable on whichever OS it rebooted into."""
     health = middleware.health
-    pbs_by_short = {
-        record.hostname.split(".")[0]: record
-        for record in middleware.pbs.nodes.values()
-    }
     for node in middleware.cluster.compute_nodes:
         record = health.health(node.name)
         if record.fence_count == 0 or node.state is not NodeState.UP:
             continue  # never fenced, or still dark (the permanent victim)
         if record.state is not HealthState.HEALTHY:
             return False
-        if node.os_name == "linux":
-            pbs_record = pbs_by_short.get(node.name)
-            if pbs_record is None or pbs_record.state in (
-                PbsNodeState.DOWN, PbsNodeState.OFFLINE
-            ):
-                return False
-        else:
-            win_record = middleware.winhpc.nodes.get(node.name)
-            if win_record is None or win_record.state is not WinNodeState.ONLINE:
-                return False
+        scheduler = (
+            middleware.pbs if node.os_name == "linux" else middleware.winhpc
+        )
+        if not scheduler.node(node.name).online:
+            return False
     return True
 
 

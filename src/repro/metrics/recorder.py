@@ -5,7 +5,9 @@ both schedulers' observer hooks, accumulating:
 
 * :class:`OsInterval` — ``[start, end)`` spans during which a node was up
   under a given OS (the raw material of the utilisation experiments);
-* :class:`JobRecord` — submit/start/end plus core count per job.
+* :class:`JobRecord` — submit/start/end plus core count per job; a job
+  fenced and requeued is queued again (no start time) until it restarts,
+  so only its last run counts as busy time.
 
 ``finalize(now)`` closes any open intervals at the horizon so integrals
 are well-defined.
@@ -126,6 +128,10 @@ class ClusterRecorder:
             if event == "started":
                 record.start_time = job.start_time
                 record.cores = job.cores_running()
+            elif event == "requeued":
+                # back in the queue: the evicted run's core-seconds are
+                # dropped and the next start sets the times afresh
+                record.start_time = None
             elif event == "finished":
                 if record.end_time is None and record.tag != SWITCH_TAG:
                     self._outstanding_workload -= 1

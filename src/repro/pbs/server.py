@@ -3,7 +3,7 @@
 One object plays ``pbs_server`` + ``pbs_sched`` + the moms' supervision:
 
 * jobs enter via :meth:`qsub` (spec or raw ``#PBS`` script text);
-* scheduling is event-driven strict FCFS (see :mod:`repro.pbs.scheduler`);
+* scheduling is event-driven strict FCFS (see :mod:`repro.sched.index`);
 * each running job is a simulation process: either a timed payload or a
   script executed on the first allocated node's OS — the latter is how
   Figure 4's OS-switch job really reboots a machine here;
@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional
 from repro.errors import SchedulerError
 from repro.pbs.job import JobState, PbsJob
 from repro.pbs.nodes import PbsNodeRecord
-from repro.pbs.scheduler import NodeIndex
 from repro.pbs.script import JobSpec, parse_pbs_script
 from repro.sched.core import (
     KILLED_EXIT_STATUS,
@@ -66,7 +65,6 @@ class PbsServer(SchedulerCore):
     ) -> None:
         super().__init__(sim, server_name, first_jobid)
         self.server_name = server_name
-        self._index = NodeIndex()
 
     # -- node table ------------------------------------------------------------
 
@@ -90,12 +88,6 @@ class PbsServer(SchedulerCore):
     node_up = SchedulerCore.join_node
     node_down = SchedulerCore.leave_node
 
-    def _reindex(self, record: Any) -> None:
-        self._index.reindex(record)
-
-    def free_cores(self) -> int:
-        return self._index.free_cores()
-
     # -- job intake ----------------------------------------------------------
 
     def qsub(self, spec_or_script, owner: str = "sliang") -> str:
@@ -116,13 +108,13 @@ class PbsServer(SchedulerCore):
         jobid = f"{self._seq}.{self.server_name}"
         self._seq += 1
         self._admit(PbsJob(
-            jobid=jobid,
+            job_id=jobid,
             name=spec.name,
             owner=f"{owner}@{self.server_name}" if "@" not in owner else owner,
             nodes=spec.nodes,
             ppn=spec.ppn,
             queue=spec.queue,
-            qtime=self.sim.now,
+            submit_time=self.sim.now,
             runtime_s=spec.runtime_s,
             walltime_s=spec.walltime_s,
             script=spec.script,
@@ -209,17 +201,8 @@ class PbsServer(SchedulerCore):
 
     # -- scheduling & execution -------------------------------------------------
 
-    def _place(self, job: PbsJob):
-        """Find a placement for *job* (indexed; see NodeIndex).
-
-        Kept as a seam: the equivalence tests monkeypatch this back to the
-        reference ``allocate_fifo(job, self.nodes)`` scan to prove the
-        index changes nothing.
-        """
-        return self._index.allocate_fifo(job)
-
     def _bind(self, job: PbsJob, record: Any, cores: int) -> None:
-        for core in record.allocate(job.jobid, cores):
+        for core in record.allocate(job.job_id, cores):
             job.exec_slots.append((record.hostname, core))
 
     def _hosts_of(self, job: PbsJob) -> List[str]:

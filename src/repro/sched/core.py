@@ -5,6 +5,8 @@ release job, watch the node reboot, resubmit work), so the mechanics a
 scheduler needs for that are written once here:
 
 * the job table, queue order, running bucket and ``mutation_epoch``;
+* the free-core :class:`~repro.sched.index.NodeIndex`, which backs
+  ``free_cores()`` and the default placement;
 * the job runners and the per-node OS handles scripts run on;
 * node join (with stranded-job recovery), leave, crash, fence and
   cordon/uncordon/drain;
@@ -26,28 +28,32 @@ is its own, as class attributes and overridden hooks:
 * ``STATES``: lifecycle name → native job state;
 * ``jobid_env`` / ``_script_env``: the environment of a script payload;
 * ``_host``: hostname normalisation (PBS uses FQDNs);
-* ``_place``: where a job would run now, or ``None``;
+* ``_place``: where a job would run now, or ``None`` (default: the
+  index's highest-hostname-first ``nodes`` × ``ppn`` placement);
 * ``_try_schedule``: dispatch policy (default: head-of-line FIFO);
 * ``_time_limit``: the job's time limit, if any;
-* ``_reindex`` / ``free_cores``: free-core bookkeeping;
 * ``_bind`` / ``_hosts_of`` / ``_unbind``: how a job records where it
   runs;
 * ``_submit_fields`` / ``_exit_fields``: the trace payload fields that
   differ;
 
 plus its native job/node-record types, request shaping in
-``submit_request`` and its text formats.  Native node records share a
-small surface: ``hostname``, ``available_cores``, ``online``, ``idle``,
-``jobs_here()``, ``allocate``/``release`` and ``mark_up``/``mark_down``/
-``cordon``/``uncordon`` taking the current time.
+``submit_request`` and its text formats.  Jobs subclass
+:class:`~repro.sched.records.SchedJob`.  Node records share a small
+surface: ``hostname``, ``available_cores`` (0 unless online),
+``online``, ``idle``, ``jobs_here()``, ``allocate``/``release`` and
+``mark_up``/``mark_down``/``cordon``/``uncordon`` taking the current
+time; :class:`~repro.sched.records.AllocNodeRecord` implements it over
+a job id → cores map.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import SchedulerError
 from repro.oslayer.shell import run_script
+from repro.sched.index import NodeIndex, Placement
 from repro.sched.protocol import SWITCH_TAG
 from repro.simkernel import Event, Interrupt, Simulator, Timeout
 
@@ -103,6 +109,8 @@ class SchedulerCore:
         #: online records in ``self.nodes`` order; node state changes
         #: reset it, job churn (the hot path) leaves it valid
         self._online_cache: Optional[List[Any]] = None
+        #: free-core buckets over every node record
+        self._index = NodeIndex()
         self._max_cores = 0
         self._total_cores = 0
         self._node_os: Dict[str, Any] = {}  # native hostname -> OSInstance
@@ -149,12 +157,9 @@ class SchedulerCore:
             raise SchedulerError(f"unknown node {host}") from None
 
     def _node_changed(self, record: Any) -> None:
-        self._reindex(record)
+        self._index.reindex(record)
         self._online_cache = None
         self.mutation_epoch += 1
-
-    def _reindex(self, record: Any) -> None:
-        """Hook: *record*'s free cores may have changed."""
 
     def join_node(self, hostname: str, os_instance: object = None) -> None:
         """The node's scheduler agent registered: it joins the free pool."""
@@ -449,9 +454,8 @@ class SchedulerCore:
     def online_node_count(self) -> int:
         return len(self._online())
 
-    # reprolint: disable=TRC002 -- read-only query; reaches the memoised _online_cache rebuild through _online()
     def free_cores(self) -> int:
-        return sum(r.available_cores for r in self._online())
+        return self._index.free_cores()
 
     def node_idle(self, hostname: str) -> bool:
         record = self.nodes.get(self._host(hostname))
@@ -459,9 +463,14 @@ class SchedulerCore:
 
     # -- scheduling & execution -------------------------------------------------
 
-    def _place(self, job: Any) -> Optional[List[Tuple[Any, int]]]:
-        """Where *job* would run now: ``[(record, cores), ...]`` or None."""
-        raise NotImplementedError
+    def _place(self, job: Any) -> Optional[Placement]:
+        """Where *job* would run now: ``[(record, cores), ...]`` or None.
+
+        The default places ``job.nodes`` × ``job.ppn`` through the index.
+        The variant harness patches the reference ``allocate_fifo`` scan
+        over this method to prove the index changes nothing.
+        """
+        return self._index.allocate_fifo(job)
 
     def _try_schedule(self) -> None:
         """Head-of-line FIFO: the first job that is not held blocks
@@ -497,15 +506,15 @@ class SchedulerCore:
         for host in self._hosts_of(job):
             record = self.nodes[host]
             record.release(job.job_id)
-            self._reindex(record)
+            self._index.reindex(record)
         self._running.pop(job.job_id, None)
 
-    def _start(self, job: Any, placement: List[Tuple[Any, int]]) -> None:
+    def _start(self, job: Any, placement: Placement) -> None:
         job.state = self._running_state
         job.start_time = self.sim.now
         for record, cores in placement:
             self._bind(job, record, cores)
-            self._reindex(record)
+            self._index.reindex(record)
         self._running[job.job_id] = job
         self.mutation_epoch += 1
         self._runners[job.job_id] = self.sim.spawn(

@@ -2,8 +2,9 @@
 
 The third batch domain behind the :mod:`repro.sched` seam: a
 ``slurmctld``-like controller with a partition model, priority ordering
-with EASY backfill (reusing the PBS :class:`~repro.pbs.scheduler.NodeIndex`
-free-core buckets), ``sbatch``/``squeue``/``sinfo`` text rendering and a
+with EASY backfill (placing through the core's
+:class:`~repro.sched.index.NodeIndex` free-core buckets),
+``sbatch``/``squeue``/``sinfo`` text rendering and a
 text-parsing queue-state detector — usable as donor or receiver in any
 dual-boot pairing (experiment E15 runs PBS↔SLURM).
 """

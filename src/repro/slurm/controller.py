@@ -4,8 +4,8 @@ Priority scheduling with EASY backfill (the half SLURM's
 ``sched/backfill`` plugin guarantees never delays the head job):
 
 * the queue is ordered by (priority desc, submission order);
-* the head job blocks until it fits — placement reuses the PBS
-  :class:`~repro.pbs.scheduler.NodeIndex` free-core buckets, which only
+* the head job blocks until it fits — placement is the core's
+  :class:`~repro.sched.index.NodeIndex` free-core buckets, which only
   need ``job.nodes``/``job.ppn`` and records exposing
   ``available_cores``;
 * when the head cannot start, later jobs may backfill **only** if their
@@ -26,10 +26,9 @@ relies on.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import SchedulerError
-from repro.pbs.scheduler import NodeIndex
 from repro.sched.core import SchedulerCore
 from repro.sched.protocol import SWITCH_JOB_NAME, SWITCH_TAG, JobRequest
 from repro.simkernel import Simulator
@@ -64,9 +63,6 @@ class SlurmController(SchedulerCore):
 
     def __init__(self, sim: Simulator, head_name: str = "slurmctl") -> None:
         super().__init__(sim, head_name)
-        #: free-core buckets shared with PBS; duck-typed over
-        #: :class:`SlurmNodeRecord` (hostname + available_cores).
-        self._index: Any = NodeIndex()
 
     # -- node table -----------------------------------------------------------
 
@@ -75,19 +71,13 @@ class SlurmController(SchedulerCore):
         self, hostname: str, cores: int, partition: str = "batch"
     ) -> SlurmNodeRecord:
         record = SlurmNodeRecord(
-            hostname=hostname, cpus=cores, partition=partition
+            hostname=hostname, cores=cores, partition=partition
         )
         return self._register(record, cores)
 
     #: a slurmd registered / vanished
     node_online = SchedulerCore.join_node
     node_unreachable = SchedulerCore.leave_node
-
-    def _reindex(self, record: Any) -> None:
-        self._index.reindex(record)
-
-    def free_cores(self) -> int:
-        return int(self._index.free_cores())
 
     # -- submission -----------------------------------------------------------
 
@@ -255,13 +245,6 @@ class SlurmController(SchedulerCore):
                 self._start(job, placement)
                 progress = True
                 break
-
-    def _place(
-        self, job: SlurmJob
-    ) -> Optional[List[Tuple[SlurmNodeRecord, int]]]:
-        """Find a placement for *job* via the shared free-core index."""
-        placement = self._index.allocate_fifo(job)
-        return placement  # type: ignore[no-any-return]
 
     def _time_limit(self, job: SlurmJob) -> Optional[float]:
         # the runtime fallback of _limit is a projection, never a limit

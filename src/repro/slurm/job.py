@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
+
+from repro.sched.records import SchedJob
 
 
 class SlurmJobState(enum.Enum):
@@ -45,83 +47,27 @@ class SlurmJobSpec:
     tag: str = ""
 
 
-@dataclass
-class SlurmJob:
+@dataclass(kw_only=True, repr=False)
+class SlurmJob(SchedJob):
     """One job as ``slurmctld`` tracks it.
 
     The ``nodes``/``ppn`` shape is fixed at submission (the controller
-    shapes flat requests), which is what lets the shared
-    :class:`~repro.pbs.scheduler.NodeIndex` place SLURM jobs unchanged.
+    shapes flat requests), which is what lets the core's
+    :class:`~repro.sched.index.NodeIndex` place SLURM jobs unchanged.
     """
 
     job_id: int
-    name: str
-    owner: str
+    state: SlurmJobState = SlurmJobState.PENDING
+    priority: int = PRIORITY_DEFAULT
     nodes: int
     ppn: int
     partition: str
-    submit_time: float
-    state: SlurmJobState = SlurmJobState.PENDING
-    runtime_s: Optional[float] = None
     time_limit_s: Optional[float] = None
-    script: Optional[str] = None
-    priority: int = PRIORITY_DEFAULT
-    start_time: Optional[float] = None
-    end_time: Optional[float] = None
-    #: hostname -> cpus taken there
-    allocation: Dict[str, int] = field(default_factory=dict)
-    on_complete: Optional[Callable[["SlurmJob"], None]] = None
-    tag: str = ""
-    rerunnable: bool = True
-    #: node-failure recovery bookkeeping (see ``SchedulerCore.fence_node``)
-    restarts: int = 0
-    checkpointed_s: float = 0.0
-    lost_work_s: float = 0.0
-    walltime_used_s: float = 0.0
-    interrupted_at: Optional[float] = None
 
     @property
     def total_cores(self) -> int:
         return self.nodes * self.ppn
 
-    @property
-    def seq_number(self) -> int:
-        """Submission order (job ids are handed out sequentially)."""
-        return self.job_id
-
-    @property
-    def wait_time_s(self) -> Optional[float]:
-        if self.start_time is None:
-            return None
-        return self.start_time - self.submit_time
-
-    @property
-    def turnaround_s(self) -> Optional[float]:
-        if self.end_time is None:
-            return None
-        return self.end_time - self.submit_time
-
-    # -- uniform personality surface (repro.sched.protocol) ------------------
-
-    @property
-    def key(self) -> str:
-        """Scheduler-neutral job id (integer ids render with ``str``)."""
-        return str(self.job_id)
-
-    @property
-    def submitted_at(self) -> float:
-        return self.submit_time
-
     def cores_submitted(self) -> int:
         """Core demand as known at submission time (shape is fixed)."""
         return self.total_cores
-
-    def cores_running(self) -> int:
-        return sum(self.allocation.values())
-
-    def allocation_by_host(self) -> Dict[str, int]:
-        """Hostname → allocated cpu count, placement order."""
-        return dict(self.allocation)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<SlurmJob {self.job_id} {self.name!r} {self.state.value}>"

@@ -1,19 +1,16 @@
 """SLURM node records.
 
 The controller's node table entry: administrative state plus the per-job
-core allocations.  ``available_cores`` reports 0 unless the node is UP,
-which is exactly the contract the shared
-:class:`~repro.pbs.scheduler.NodeIndex` free-core buckets rely on (a
-DOWN/DRAINED node falls into bucket 0 and is never selected).
+core allocations, on the core's shared
+:class:`~repro.sched.records.AllocNodeRecord`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
 
-from repro.errors import SchedulerError
+from repro.sched.records import AllocNodeRecord
 
 
 class SlurmNodeState(enum.Enum):
@@ -26,71 +23,15 @@ class SlurmNodeState(enum.Enum):
 
 
 @dataclass
-class SlurmNodeRecord:
+class SlurmNodeRecord(AllocNodeRecord):
     """One compute node as ``slurmctld`` tracks it."""
 
-    hostname: str
-    cpus: int
-    partition: str = "batch"
+    UP = SlurmNodeState.UP
+    DRAINED = SlurmNodeState.DRAIN
+    DOWN = SlurmNodeState.DOWN
+
     state: SlurmNodeState = SlurmNodeState.DOWN
-    #: job id -> cpus taken there
-    allocations: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def cpus_in_use(self) -> int:
-        return sum(self.allocations.values())
-
-    @property
-    def online(self) -> bool:
-        return self.state is SlurmNodeState.UP
-
-    @property
-    def available_cores(self) -> int:
-        """Free cpus; 0 unless UP (the NodeIndex bucket contract)."""
-        if self.state is not SlurmNodeState.UP:
-            return 0
-        return self.cpus - self.cpus_in_use
-
-    @property
-    def idle(self) -> bool:
-        return self.state is SlurmNodeState.UP and not self.allocations
-
-    def allocate(self, job_id: int, cpus: int) -> None:
-        if cpus > self.available_cores:
-            raise SchedulerError(
-                f"{self.hostname}: {cpus} cpus requested, "
-                f"{self.available_cores} available"
-            )
-        self.allocations[job_id] = cpus
-
-    def release(self, job_id: int) -> None:
-        self.allocations.pop(job_id, None)
-
-    def jobs_here(self) -> List[int]:
-        """Job ids holding cpus here, in allocation order."""
-        return list(self.allocations)
-
-    # slurmctld's state-change times are not modelled: the ``now``
-    # argument of the transitions below is unused here.
-
-    def mark_up(self, now: float) -> None:
-        """slurmd registered: the node joins its partition clean."""
-        self.state = SlurmNodeState.UP
-        self.allocations.clear()
-
-    def mark_down(self, now: float) -> None:
-        self.state = SlurmNodeState.DOWN
-        self.allocations.clear()
-
-    def cordon(self, now: float) -> None:
-        """``scontrol update state=drain``: only an UP node drains."""
-        if self.state is SlurmNodeState.UP:
-            self.state = SlurmNodeState.DRAIN
-
-    def uncordon(self, now: float) -> None:
-        """``scontrol update state=resume``: reverse a drain."""
-        if self.state is SlurmNodeState.DRAIN:
-            self.state = SlurmNodeState.UP
+    partition: str = "batch"
 
     def sinfo_state(self) -> str:
         """The word ``sinfo`` prints for this node."""
@@ -100,4 +41,4 @@ class SlurmNodeRecord:
             return "drain"
         if not self.allocations:
             return "idle"
-        return "alloc" if self.cpus_in_use >= self.cpus else "mix"
+        return "alloc" if self.cores_in_use >= self.cores else "mix"

@@ -9,7 +9,7 @@ dualboot-oscar detector's Windows half reads like the original C# tool.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import SchedulerError
 from repro.winhpc.job import WinHpcJob, WinJobSpec, WinJobState, WinJobUnit
@@ -20,11 +20,6 @@ from repro.winhpc.scheduler import WinHpcScheduler
 class HpcSchedulerConnection:
     """``Microsoft.Hpc.Scheduler.Scheduler`` in miniature.
 
-    The node-list queries the detector issues every control cycle are
-    cached keyed on the scheduler's mutation epoch (same contract as the
-    PBS side: unchanged epoch ⇒ unchanged answer).  Cached lists must be
-    treated as read-only by callers.
-
     >>> conn = HpcSchedulerConnection()
     >>> conn.connect(scheduler)           # doctest: +SKIP
     >>> conn.get_job_list(WinJobState.QUEUED)   # doctest: +SKIP
@@ -32,14 +27,10 @@ class HpcSchedulerConnection:
 
     def __init__(self) -> None:
         self._scheduler: Optional[WinHpcScheduler] = None
-        self._node_list_cache: Optional[Tuple[int, List[WinNodeRecord]]] = None
-        self._core_max_cache: Optional[Tuple[int, int]] = None
 
     def connect(self, scheduler: WinHpcScheduler) -> None:
         """Attach to a head node (the SDK's ``Connect(headNodeName)``)."""
         self._scheduler = scheduler
-        self._node_list_cache = None
-        self._core_max_cache = None
 
     @property
     def connected(self) -> bool:
@@ -95,31 +86,20 @@ class HpcSchedulerConnection:
     # -- node API ----------------------------------------------------------------
 
     def get_node_list(self) -> List[WinNodeRecord]:
-        scheduler = self._require()
-        epoch = scheduler.mutation_epoch
-        cached = self._node_list_cache
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        nodes = [r for _, r in sorted(scheduler.nodes.items())]
-        self._node_list_cache = (epoch, nodes)
-        return nodes
+        """Node records by hostname."""
+        return [r for _, r in sorted(self._require().nodes.items())]
 
     def max_node_cores(self, default: int = 1) -> int:
-        """Largest per-node core count (epoch-cached).
+        """Largest per-node core count, or *default* with no nodes.
 
         The detector needs this to convert NODE-unit requests into CPU
-        counts; recomputing it meant walking the node table every check.
+        counts; the scheduler tracks the maximum as nodes register
+        (nodes are never removed).
         """
         scheduler = self._require()
-        epoch = scheduler.mutation_epoch
-        cached = self._core_max_cache
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
         if not scheduler.nodes:
-            return default  # not cached: the answer depends on the caller
-        value = max(r.cores for r in scheduler.nodes.values())
-        self._core_max_cache = (epoch, value)
-        return value
+            return default
+        return scheduler._max_cores
 
     def get_counters(self) -> dict:
         """Cluster-wide counters (the SDK's ``ISchedulerCounters``)."""

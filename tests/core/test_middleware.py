@@ -95,7 +95,7 @@ def test_multi_node_demand_switches_enough_nodes():
         name="big-render", cores=12, runtime_s=10 * MINUTE)))
     hybrid.sim.run(until=hybrid.sim.now + 90 * MINUTE)
     assert job.state is WinJobState.FINISHED
-    assert job.total_allocated_cores() == 12
+    assert job.cores_running() == 12
     assert len(hybrid.nodes_by_os()["windows"]) >= 3
 
 

@@ -1,30 +1,23 @@
 """Whole-experiment proof that the calendar queue changes nothing.
 
 The unit properties (``tests/simkernel/test_queue_equivalence.py``)
-compare the queues on synthetic programs; this test closes the loop at
-system level: every simulation experiment is run twice in quick mode —
-once on the shipping :class:`~repro.simkernel.calqueue.CalendarQueue`
-and once with :data:`repro.simkernel.kernel.DEFAULT_QUEUE` monkeypatched
-back to the reference binary heap — and every attached trace export
-must match byte for byte.  If the calendar's bucket boundaries ever
+compare the queues on synthetic programs; this variant of the
+determinism harness closes the loop at system level: every simulation
+experiment reruns with :data:`repro.simkernel.kernel.DEFAULT_QUEUE`
+monkeypatched to the reference binary heap, and every trace export must
+match the shipping :class:`~repro.simkernel.calqueue.CalendarQueue`
+baseline byte for byte.  If the calendar's bucket boundaries ever
 reordered a single tie on a *real* workload, this is the test that
 would catch it.
 """
 
-import importlib
-
 import pytest
 
 import repro.simkernel.kernel as kernel
-from repro.experiments import ALL_EXPERIMENTS
-from tests.trace.test_determinism import SIMULATION_EXPERIMENTS
-
-SEED = 3
-
-
-def _run(experiment_id):
-    module = importlib.import_module(ALL_EXPERIMENTS[experiment_id])
-    return module.run(seed=SEED, quick=True)
+from tests.trace.test_determinism import (
+    SIMULATION_EXPERIMENTS,
+    assert_variant_matches_baseline,
+)
 
 
 def test_calendar_is_the_shipping_default():
@@ -35,16 +28,7 @@ def test_calendar_is_the_shipping_default():
 def test_heap_and_calendar_give_byte_identical_traces(
     experiment_id, monkeypatch
 ):
-    calendar = _run(experiment_id)
-
-    monkeypatch.setattr(kernel, "DEFAULT_QUEUE", "heap")
-    heap = _run(experiment_id)
-
-    assert calendar.traces, f"{experiment_id} attached no traces"
-    assert calendar.trace_exports().keys() == heap.trace_exports().keys()
-    for label, export in calendar.trace_exports().items():
-        assert export, f"{experiment_id} trace {label!r} is empty"
-        assert export == heap.trace_exports()[label], (
-            f"{experiment_id} trace {label!r} differs between the calendar "
-            "and heap event queues"
-        )
+    assert_variant_matches_baseline(
+        experiment_id, "the heap event queue",
+        lambda: monkeypatch.setattr(kernel, "DEFAULT_QUEUE", "heap"),
+    )

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import MiddlewareConfig, build_hybrid_cluster
-from repro.metrics.utilization import usable_core_seconds
+from repro.metrics import ClusterRecorder
+from repro.metrics.utilization import busy_core_seconds, usable_core_seconds
+from repro.pbs import JobSpec, PbsServer
 from repro.sched import JobRequest
-from repro.simkernel import HOUR, MINUTE
+from repro.simkernel import HOUR, MINUTE, Simulator
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +90,23 @@ def test_usable_core_seconds_split_by_os(run):
     assert abs(total - (linux_cs + windows_cs)) < 1e-6
     # reboot windows mean the cluster is never 100% available
     assert total < 4 * 4 * horizon
+
+
+def test_requeued_job_is_recorded_as_queued_again():
+    """A fenced job with nowhere to rerun is waiting, not running: its
+    record loses the evicted start and the evicted run counts no busy
+    core-seconds."""
+    sim = Simulator()
+    server = PbsServer(sim)
+    server.create_node("enode01", np=4)
+    server.node_up("enode01")
+    recorder = ClusterRecorder()
+    recorder.attach_scheduler(server)
+    server.qsub(JobSpec(name="victim", ppn=4, runtime_s=1000.0))
+    sim.schedule(100.0, lambda: server.fence_node("enode01"))
+    sim.run(until=500.0)
+
+    (record,) = recorder.jobs
+    assert record.wait_s is None
+    assert record.end_time is None
+    assert busy_core_seconds(recorder.jobs, 500.0) <= 400.0

@@ -21,7 +21,9 @@ PACKAGES = [
     "repro.oscar",
     "repro.oslayer",
     "repro.pbs",
+    "repro.sched",
     "repro.simkernel",
+    "repro.slurm",
     "repro.storage",
     "repro.winhpc",
     "repro.windeploy",

@@ -1,15 +1,29 @@
-"""Determinism regression battery: every experiment, run twice.
+"""Determinism regression battery and the variant-equivalence harness.
 
 The whole reproduction rests on the claim that a (seed, scenario) pair
 pins the simulation completely.  Aggregate-metric equality (what E9's
 own ``deterministic`` headline checks) can mask compensating
-differences; byte-identical *event traces* cannot.  Each experiment is
-run twice with the same seed and every attached trace's canonical JSONL
-export must match byte for byte — and be invariant-clean both times.
+differences; byte-identical *event traces* cannot.
+
+The harness runs each simulation experiment once as a **baseline** (the
+shipping configuration, quick mode, fixed seed), checks every attached
+trace against the invariants and for a non-empty export, and keeps the
+exports' digests for the session.  A **variant** reruns the experiment
+with one thing changed and must export byte-identical traces:
+
+* a same-seed rerun (this module);
+* the reference binary-heap event queue
+  (``tests/experiments/test_queue_trace_equivalence.py``);
+* the reference ``allocate_fifo`` scan patched over
+  ``SchedulerCore._place`` (``tests/experiments/test_index_equivalence.py``).
+
+So each experiment costs four runs however many variants check it.
 """
 
+import hashlib
 import importlib
 import re
+from typing import Callable, Dict, Optional
 
 import pytest
 
@@ -29,6 +43,53 @@ SIMULATION_EXPERIMENTS = sorted(
 def _run(experiment_id):
     module = importlib.import_module(ALL_EXPERIMENTS[experiment_id])
     return module.run(seed=SEED, quick=True)
+
+
+def _digests(output) -> Dict[str, str]:
+    return {
+        label: hashlib.sha256(export.encode()).hexdigest()
+        for label, export in output.trace_exports().items()
+    }
+
+
+#: experiment id -> {trace label: sha256 of its export}, per session
+_BASELINES: Dict[str, Dict[str, str]] = {}
+
+
+def baseline_digests(experiment_id: str) -> Dict[str, str]:
+    """Run the shipping configuration once per session and vet it."""
+    digests = _BASELINES.get(experiment_id)
+    if digests is not None:
+        return digests
+    output = _run(experiment_id)
+    assert output.traces, f"{experiment_id} attached no traces"
+    for label, export in output.trace_exports().items():
+        assert export, f"{experiment_id} trace {label!r} is empty"
+    for label, tracer in output.traces.items():
+        violations = check_events(tracer.events)
+        assert violations == [], (
+            f"{experiment_id} trace {label!r} violates invariants: "
+            + "; ".join(str(v) for v in violations)
+        )
+    digests = _BASELINES[experiment_id] = _digests(output)
+    return digests
+
+
+def assert_variant_matches_baseline(
+    experiment_id: str, variant: str,
+    apply: Optional[Callable[[], None]] = None,
+) -> None:
+    """Rerun *experiment_id* after *apply* changes one thing; every
+    trace export must equal the baseline's byte for byte."""
+    baseline = baseline_digests(experiment_id)  # before the change
+    if apply is not None:
+        apply()
+    digests = _digests(_run(experiment_id))
+    assert digests.keys() == baseline.keys()
+    for label, digest in digests.items():
+        assert digest == baseline[label], (
+            f"{experiment_id} trace {label!r} differs under {variant}"
+        )
 
 
 def test_battery_covers_all_simulation_experiments():
@@ -98,20 +159,4 @@ def test_trace_mode_does_not_perturb_the_simulation():
 
 @pytest.mark.parametrize("experiment_id", SIMULATION_EXPERIMENTS)
 def test_same_seed_twice_gives_byte_identical_traces(experiment_id):
-    first = _run(experiment_id)
-    second = _run(experiment_id)
-
-    assert first.traces, f"{experiment_id} attached no traces"
-    assert first.trace_exports().keys() == second.trace_exports().keys()
-    for label, export in first.trace_exports().items():
-        assert export, f"{experiment_id} trace {label!r} is empty"
-        assert export == second.trace_exports()[label], (
-            f"{experiment_id} trace {label!r} differs between same-seed runs"
-        )
-
-    for label, tracer in first.traces.items():
-        violations = check_events(tracer.events)
-        assert violations == [], (
-            f"{experiment_id} trace {label!r} violates invariants: "
-            + "; ".join(str(v) for v in violations)
-        )
+    assert_variant_matches_baseline(experiment_id, "a same-seed rerun")

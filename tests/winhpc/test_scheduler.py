@@ -56,7 +56,7 @@ def test_core_jobs_pack_busiest_first(sim, scheduler):
 
 def test_core_job_spans_nodes_when_needed(scheduler):
     job = scheduler.submit(spec(amount=10, runtime=10.0))
-    assert job.total_allocated_cores() == 10
+    assert job.cores_running() == 10
     assert len(job.allocation) >= 3
 
 
@@ -68,7 +68,7 @@ def test_node_unit_job_needs_idle_machines(sim, scheduler):
     assert node_job.state is WinJobState.QUEUED  # only 3 idle machines
     sim.run(until=101.0)
     assert node_job.state is WinJobState.RUNNING
-    assert node_job.total_allocated_cores() == 16
+    assert node_job.cores_running() == 16
 
 
 def test_node_unit_allocates_highest_hostname_first(scheduler):
