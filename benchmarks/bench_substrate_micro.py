@@ -8,6 +8,8 @@ optimisation workflow: measure, don't guess):
 * full boot-chain resolution (PXE → GRUB4DOS → local disk),
 * detector text-parse over a 16-node ``qstat -f`` listing,
 * cold vs epoch-cached detector checks over a busy 1024-node cluster,
+* one SLURM scheduling pass (head placement, shadow time and the EASY
+  backfill scan) over a busy 128-node cluster with a deep backlog,
 * utilisation integration over a large job-record set (NumPy path).
 """
 
@@ -24,6 +26,7 @@ from repro.metrics.utilization import utilization_timeline
 from repro.netsvc import DhcpServer, TftpServer
 from repro.pbs import JobSpec, PbsCommands, PbsServer
 from repro.simkernel import Simulator
+from repro.slurm import SlurmController, SlurmJobSpec
 from repro.storage import Filesystem, FsType
 from tests.conftest import CONTROLMENU_FIG3, make_v1_disk
 
@@ -134,6 +137,42 @@ def test_cached_detector_speedup_floor():
         f"epoch cache hit only {speedup:.1f}x faster than cold "
         f"(cold {cold_s * 1e6:.0f}us, warm {warm_s * 1e6:.0f}us)"
     )
+
+
+#: (nodes, ppn) shapes of the backfill bench's backlog, cycled
+_BACKLOG_SHAPES = [(1, 16), (1, 4), (2, 8), (4, 16), (8, 4)]
+
+
+def _busy_slurm_cluster(num_nodes=128, backlog=500):
+    """Every node runs a 14-of-16-core job and *backlog* jobs of mixed
+    shapes wait: the 2 cores left per node fit none of them, so each
+    scheduling pass fails the head, computes its shadow time and tries
+    every backfill candidate."""
+    controller = SlurmController(Simulator())
+    for i in range(1, num_nodes + 1):
+        controller.add_node(f"sn{i:03d}", cores=16)
+        controller.node_online(f"sn{i:03d}")
+    for i in range(num_nodes):
+        controller.submit(SlurmJobSpec(
+            name=f"run{i}", nodes=1, ppn=14,
+            runtime_s=50_000.0 + 60.0 * i, time_limit_s=100_000.0,
+        ))
+    for i in range(backlog):
+        nodes, ppn = _BACKLOG_SHAPES[i % len(_BACKLOG_SHAPES)]
+        controller.submit(SlurmJobSpec(
+            name=f"wait{i}", nodes=nodes, ppn=ppn,
+            runtime_s=600.0, time_limit_s=3_600.0 * (1 + i % 3),
+        ))
+    return controller
+
+
+def test_bench_backfill_pass(benchmark):
+    controller = _busy_slurm_cluster()
+    assert controller.free_cores() == 2 * 128
+
+    benchmark(controller._try_schedule)
+    assert len(controller.running_jobs()) == 128
+    assert len(controller.queue_order) == 500
 
 
 def test_bench_utilization_timeline(benchmark):

@@ -84,7 +84,9 @@ class SwitchOrders:
     first) or the watchdog deadline passes (:meth:`expire` marks it
     ``FAILED`` and cancels its batch job if the job is still queued).
     The policy's in-flight counts come from this ledger, so a node that
-    hangs at boot cannot absorb switch capacity forever.
+    hangs at boot cannot absorb switch capacity forever.  ``orders`` is
+    the full history; the pending ones are also kept by id in issue
+    order, so confirmation, aborts and the watchdog walk only those.
 
     *schedulers* maps each OS side (``"linux"``, ``"windows"``) to the
     personality running it.
@@ -110,6 +112,8 @@ class SwitchOrders:
         self.orders_confirmed = 0
         self.orders_failed = 0
         self.orders: List[SwitchOrderRecord] = []
+        #: order id -> record of every unresolved order, in issue order
+        self._pending: Dict[int, SwitchOrderRecord] = {}
         self._next_order_id = 1
         #: nodes whose next scheduler join is a crash recovery, not a
         #: switch landing — their join must not confirm a pending order
@@ -129,7 +133,7 @@ class SwitchOrders:
         dead then) and drops when the watchdog declares the order failed.
         """
         return sum(
-            1 for o in self.orders if o.pending and o.target_os == target_os
+            1 for o in self._pending.values() if o.target_os == target_os
         )
 
     # -- issuing -------------------------------------------------------------
@@ -159,15 +163,15 @@ class SwitchOrders:
 
     def _record(self, target_os: str, jobid: str) -> None:
         now = self.sim.now
-        self.orders.append(
-            SwitchOrderRecord(
-                order_id=self._next_order_id,
-                target_os=target_os,
-                issued_at=now,
-                deadline=now + self.order_timeout_s,
-                jobid=jobid,
-            )
+        order = SwitchOrderRecord(
+            order_id=self._next_order_id,
+            target_os=target_os,
+            issued_at=now,
+            deadline=now + self.order_timeout_s,
+            jobid=jobid,
         )
+        self.orders.append(order)
+        self._pending[order.order_id] = order
         if self.tracer is not None:
             self.tracer.emit(
                 "order.issued",
@@ -194,8 +198,9 @@ class SwitchOrders:
             # a fenced node rebooting back is not a switch landing
             self._expected_rejoins.discard(hostname)
             return
-        for order in self.orders:
-            if order.pending and order.target_os == target_os:
+        for order in self._pending.values():
+            if order.target_os == target_os:
+                del self._pending[order.order_id]
                 order.state = OrderState.CONFIRMED
                 order.resolved_at = self.sim.now
                 order.node = hostname
@@ -226,7 +231,7 @@ class SwitchOrders:
         """
         targets = {str(jobid) for jobid in jobids}
         aborted = 0
-        for order in self.orders:
+        for order in list(self._pending.values()):
             if not order.pending or str(order.jobid) not in targets:
                 continue
             self._fail(order, self.sim.now, cause)
@@ -234,6 +239,7 @@ class SwitchOrders:
         return aborted
 
     def _fail(self, order: SwitchOrderRecord, now: float, cause: str) -> None:
+        del self._pending[order.order_id]
         order.state = OrderState.FAILED
         order.resolved_at = now
         self.orders_failed += 1
@@ -251,7 +257,7 @@ class SwitchOrders:
         """Fail every pending order past its deadline; cancel its batch job
         if the job is still queued (it never even found a donor node)."""
         expired = []
-        for order in self.orders:
+        for order in list(self._pending.values()):
             if not order.pending or now < order.deadline:
                 continue
             self._fail(order, now, "watchdog deadline passed")

@@ -6,7 +6,7 @@ scheduler needs for that are written once here:
 
 * the job table, queue order, running bucket and ``mutation_epoch``;
 * the free-core :class:`~repro.sched.index.NodeIndex`, which backs
-  ``free_cores()`` and the default placement;
+  ``free_cores()``, ``idle_node_count()`` and the default placement;
 * the job runners and the per-node OS handles scripts run on;
 * node join (with stranded-job recovery), leave, crash, fence and
   cordon/uncordon/drain;
@@ -143,10 +143,16 @@ class SchedulerCore:
     def _register(self, record: Any, cores: int) -> Any:
         if record.hostname in self.nodes:
             raise SchedulerError(f"node {record.hostname} already defined")
+        if cores < 1:
+            raise SchedulerError(
+                f"node {record.hostname} needs at least 1 core, got {cores}"
+            )
         self.nodes[record.hostname] = record
         self._max_cores = max(self._max_cores, cores)
         self._total_cores += cores
-        self._node_changed(record)
+        self._index.add(record, cores)
+        self._online_cache = None
+        self.mutation_epoch += 1
         return record
 
     def node(self, hostname: str) -> Any:
@@ -446,9 +452,8 @@ class SchedulerCore:
     def idle_nodes(self) -> List[Any]:
         return [r for r in self._online() if r.idle]
 
-    # reprolint: disable=TRC002 -- read-only query; reaches the memoised _online_cache rebuild through _online()
     def idle_node_count(self) -> int:
-        return sum(1 for r in self._online() if r.idle)
+        return self._index.idle_count()
 
     # reprolint: disable=TRC002 -- read-only query; reaches the memoised _online_cache rebuild through _online()
     def online_node_count(self) -> int:

@@ -219,7 +219,9 @@ class SlurmController(SchedulerCore):
         progress = True
         while progress:
             progress = False
-            if not self.queue_order:
+            # every job needs at least one core: with none free, neither
+            # the head nor any backfill candidate can start
+            if not self.queue_order or self._index.free_cores() == 0:
                 return
             head = self.jobs[self.queue_order[0]]
             placement = self._place(head)

@@ -2,9 +2,9 @@
 
 FIFO with head-of-line blocking (HPC Pack's default queued scheduling
 mode, and the assumption the paper's daemons make).  ``Core``-unit jobs
-pack cores onto the fullest online nodes first; ``Node``-unit jobs need
-entirely idle machines.  The job lifecycle lives in
-:class:`repro.sched.core.SchedulerCore`.
+pack cores onto the fullest online nodes first, walking the core's
+free-core index; ``Node``-unit jobs need entirely idle machines.  The
+job lifecycle lives in :class:`repro.sched.core.SchedulerCore`.
 """
 
 from __future__ import annotations
@@ -142,25 +142,13 @@ class WinHpcScheduler(SchedulerCore):
 
     def _place(self, job: WinHpcJob) -> Optional[List[Tuple[Any, int]]]:
         if job.unit is WinJobUnit.NODE:
-            idle = sorted(self.idle_nodes(), key=lambda r: r.hostname, reverse=True)
-            if len(idle) < job.amount:
+            if self._index.idle_count() < job.amount:
                 return None
+            idle = sorted(self.idle_nodes(), key=lambda r: r.hostname, reverse=True)
             return [(record, record.cores) for record in idle[: job.amount]]
         # CORE unit: pack onto the busiest (fewest free cores) nodes first,
         # leaving whole machines idle for NODE-unit work.
-        online = sorted(
-            (r for r in self._online() if r.available_cores > 0),
-            key=lambda r: (r.available_cores, r.hostname),
-        )
-        needed = job.amount
-        placement: List[Tuple[Any, int]] = []
-        for record in online:
-            take = min(record.available_cores, needed)
-            placement.append((record, take))
-            needed -= take
-            if needed == 0:
-                return placement
-        return None
+        return self._index.allocate_packed(job.amount)
 
     def _submit_fields(self, job: WinHpcJob) -> Dict[str, Any]:
         return {"amount": job.amount}
